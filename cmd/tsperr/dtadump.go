@@ -1,15 +1,6 @@
-// Command dtadump demonstrates the DTA flow of Figure 1 on the generated
-// gate-level netlists: it simulates a stimulus, records per-cycle activation
-// (the VCD input of Algorithm 1), and prints the dynamic timing slack of
-// each cycle, contrasting it with the static (STA) slack.
-//
-// Usage:
-//
-//	dtadump [-unit adder|control] [-cycles N] [-vcd file] [-timeout D]
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 	"os"
@@ -29,14 +20,18 @@ func setWord(in map[netlist.GateID]bool, gates [32]netlist.GateID, w uint32) {
 	}
 }
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("dtadump: ")
-	unit := flag.String("unit", "adder", "netlist to analyze: adder or control")
-	cycles := flag.Int("cycles", 12, "stimulus length")
-	vcdPath := flag.String("vcd", "", "also write the activity trace as VCD to this file")
-	timeout := flag.Duration("timeout", 0, "abort the dump after this duration (0 = none)")
-	flag.Parse()
+// runDTADump demonstrates the DTA flow of Figure 1 on the generated
+// gate-level netlists (tsperr dtadump): it simulates a stimulus, records
+// per-cycle activation (the VCD input of Algorithm 1), and prints the
+// dynamic timing slack of each cycle, contrasting it with the static (STA)
+// slack.
+func runDTADump(args []string) {
+	fs := newFlagSet("dtadump", "[-unit adder|control] [-cycles N] [-vcd file] [-timeout D]")
+	unit := fs.String("unit", "adder", "netlist to analyze: adder or control")
+	cycles := fs.Int("cycles", 12, "stimulus length")
+	vcdPath := fs.String("vcd", "", "also write the activity trace as VCD to this file")
+	timeout := fs.Duration("timeout", 0, "abort the dump after this duration (0 = none)")
+	_ = fs.Parse(args)
 	ctx, cancel := cliutil.Context(*timeout)
 	defer cancel()
 

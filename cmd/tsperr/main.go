@@ -1,29 +1,47 @@
-// Command tsperr runs the full error-rate estimation framework on one
-// benchmark and reports the Table 2 row, the headline distribution numbers,
-// and the resulting timing-speculation verdict.
+// Command tsperr runs the error-rate estimation framework: by default on one
+// benchmark, reporting the Table 2 row, the headline distribution numbers,
+// and the resulting timing-speculation verdict; its subcommands regenerate
+// the paper's evaluation and run the operating-point search.
 //
 // Usage:
 //
 //	tsperr [-scenarios N] [-timeout D] [-retries N] [-min-scenarios N]
-//	       [-mc-trials N] [-mc-seed S] [-voltage V] [-temp C] [-json]
-//	       [-explain] <benchmark>
-//	tsperr -batch suite.json [-json] [flags]
-//	tsperr -surrogate-eval [-surrogate-holdout F] [-surrogate-seed S] [-json]
-//	tsperr -oppoint -target F [-min-ratio R] [-max-ratio R] [-steps N] <benchmark>
+//	       [-mc-trials N] [-mc-seed S] [-voltage V] [-temp C] [-json] <benchmark>
+//	tsperr batch [flags] suite.json
+//	tsperr oppoint [-target F] [-min-ratio R] [-max-ratio R] [-steps N]
+//	       [-scenarios N] [-voltage V] [-temp C] [-json] <benchmark>
+//	tsperr surrogate-eval [-surrogate-holdout F] [-surrogate-seed S] [-json]
+//	tsperr explain
+//	tsperr table2 [-scenarios N] [-bench name] [-retries N] [-min-scenarios N]
+//	tsperr figure3 [-scenarios N] [-bench name] [-points N] [-max pct] [-csv]
+//	tsperr report [-scenarios N] [-o file.md] [-retries N] [-min-scenarios N] [-json]
+//	tsperr dtadump [-unit adder|control] [-cycles N] [-vcd file]
 //
-// Run with no arguments to list the available benchmarks. With -batch, the
-// argument is a suite file ({"entries":[{"benchmark":...,"scenarios":...}]})
-// run through the shared framework with identical entries computed once;
-// results stream as text rows, or -json emits one document reusing the
-// shared core.Report encoding per entry. -mc-trials appends a sharded Monte
-// Carlo validation of the analytic distribution to the report.
+// Every subcommand takes -timeout D, and all but explain and dtadump take
+// -model-cache/-model-cache-dir. Run with no arguments to list the available
+// benchmarks.
 //
-// -voltage/-temp evaluate at an explicit operating condition (the cell-delay
-// scaling law inflates delays and variability as the supply droops or the die
-// heats); zero means the nominal 1.1 V / 25 C corner. -oppoint bisects the
-// fastest frequency ratio whose error rate stays at or below -target at that
-// condition and prints the resulting operating point (or -json, one document
-// mirroring a point of tsperrd's /v1/oppoint response).
+//   - batch runs a suite file ({"entries":[{"benchmark":...,"scenarios":...}]})
+//     through the shared framework with identical entries computed once;
+//     results stream as text rows, or -json emits one document reusing the
+//     shared core.Report encoding per entry.
+//   - oppoint bisects the fastest frequency ratio whose error rate stays at or
+//     below -target at the -voltage/-temp condition and prints the resulting
+//     operating point (or -json, one document mirroring a point of tsperrd's
+//     /v1/oppoint response).
+//   - surrogate-eval labels the suite exactly, trains the ML surrogate fast
+//     tier on a split, and prints its coverage-vs-accuracy curve.
+//   - explain prints the estimation-flow walkthrough (Figures 1 and 2).
+//   - table2 and figure3 regenerate Table 2 and the Figure 3 CDFs; report
+//     writes the whole evaluation as one markdown (or -json) document.
+//   - dtadump simulates a stimulus on a generated netlist and prints each
+//     cycle's dynamic timing slack (the Figure 1 DTA flow).
+//
+// -mc-trials appends a sharded Monte Carlo validation of the analytic
+// distribution to the report. -voltage/-temp evaluate at an explicit
+// operating condition (the cell-delay scaling law inflates delays and
+// variability as the supply droops or the die heats); zero means the nominal
+// 1.1 V / 25 C corner.
 //
 // Exit status is 2 for usage errors and 1 for analysis failures (in batch
 // mode: if any entry failed); on failure every failing scenario is reported
@@ -36,6 +54,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -46,124 +65,175 @@ import (
 	"tsperr/internal/mibench"
 )
 
+// subcommands maps each subcommand name to its entry point, which receives
+// the arguments after the name. Benchmark names never collide with these.
+var subcommands = map[string]func(args []string){
+	"batch":          runBatch,
+	"dtadump":        runDTADump,
+	"explain":        runExplain,
+	"figure3":        runFigure3,
+	"oppoint":        runOppoint,
+	"report":         runReport,
+	"surrogate-eval": runSurrogateEval,
+	"table2":         runTable2,
+}
+
+func main() {
+	log.SetFlags(0)
+	if len(os.Args) > 1 {
+		if run, ok := subcommands[os.Args[1]]; ok {
+			log.SetPrefix("tsperr " + os.Args[1] + ": ")
+			run(os.Args[2:])
+			return
+		}
+	}
+	log.SetPrefix("tsperr: ")
+	runEstimate(os.Args[1:])
+}
+
+// newFlagSet returns the flag set of one subcommand ("" for the default
+// estimate); -h prints the synopsis and the flag defaults.
+func newFlagSet(sub, synopsis string) *flag.FlagSet {
+	name := strings.TrimSpace("tsperr " + sub)
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: %s %s\n", name, synopsis)
+		fs.PrintDefaults()
+	}
+	return fs
+}
+
+// usageExit prints fs's usage and exits with the usage status.
+func usageExit(fs *flag.FlagSet) {
+	fs.Usage()
+	os.Exit(cliutil.ExitUsage)
+}
+
+// modelCacheFlags registers -model-cache/-model-cache-dir on fs; the returned
+// function, called after parsing, configures the harness's model cache.
+func modelCacheFlags(fs *flag.FlagSet) func() {
+	dir := cliutil.ModelCacheFlags(fs)
+	return func() {
+		d := dir()
+		harness.SetModelCache(d != "", d)
+	}
+}
+
+// conditionFlags registers -voltage/-temp on fs; the returned function,
+// called after parsing, sets the harness's operating condition and exits
+// with the usage status when it is out of range.
+func conditionFlags(fs *flag.FlagSet) func() cell.OperatingCondition {
+	voltage := fs.Float64("voltage", 0, "supply voltage in volts (0 = nominal 1.1)")
+	temp := fs.Float64("temp", 0, "die temperature in C (0 = nominal 25)")
+	return func() cell.OperatingCondition {
+		cond := cell.OperatingCondition{VoltageV: *voltage, TempC: *temp}
+		if err := harness.SetOperatingCondition(cond); err != nil {
+			log.Print(err)
+			os.Exit(cliutil.ExitUsage)
+		}
+		return cond
+	}
+}
+
+// benchmarkNames returns the single -bench name, or all twelve benchmarks.
+func benchmarkNames(bench string) []string {
+	if bench != "" {
+		return []string{bench}
+	}
+	var names []string
+	for _, b := range mibench.All() {
+		names = append(names, b.Name)
+	}
+	return names
+}
+
 // splitLines breaks a FailureDetail block into lines for indentation.
 func splitLines(s string) []string {
 	return strings.Split(strings.TrimRight(s, "\n"), "\n")
 }
 
-const explainText = `The framework follows the flow of Figures 1 and 2 of the paper:
+// exitFailed reports a failed step with its per-scenario breakdown on
+// stderr and exits with the failure status.
+func exitFailed(what string, err error) {
+	fmt.Fprintf(os.Stderr, "%s%s failed:\n", log.Prefix(), what)
+	for _, line := range splitLines(harness.FailureDetail(err)) {
+		fmt.Fprintf(os.Stderr, "  %s\n", line)
+	}
+	os.Exit(cliutil.ExitFailure)
+}
 
- 1. Netlist generation & calibration — a 6-stage control network (decoder
-    derived from the TS-V8 opcode table) and gate-level datapath units are
-    generated and delay-calibrated so the point of first failure sits at
-    1.13x the STA frequency; the working point is 1.15x.
- 2. Datapath model training — Algorithm 1 measures the DTS of the data
-    endpoints while targeted vectors activate carry chains and shifter
-    layers of known depth.
- 3. Control characterization — per basic block, per incoming edge, the
-    control network is simulated at gate level and Algorithm 2 extracts each
-    instruction's control DTS; a nop-instrumented pass yields the
-    error-conditioned probabilities (Section 4.1).
- 4. Instrumented simulation — the program runs once per input scenario; the
-    trained datapath model converts operand-dependent activation depths into
-    conditional error probabilities.
- 5. Marginal probabilities — Equations (1) and (2) plus one linear system per
-    CFG strongly connected component (Section 4.2).
- 6. Statistics — the error count is approximated Poisson(lambda) with lambda
-    approximately Normal; Chen-Stein and Stein bounds quantify the
-    approximation error (Section 5); Equation (14) gives the CDF.`
-
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("tsperr: ")
-	scenarios := flag.Int("scenarios", harness.DefaultScenarios, "input datasets")
-	jsonOut := flag.Bool("json", false, "emit the report as JSON instead of the text summary")
-	explain := flag.Bool("explain", false, "print the estimation-flow walkthrough and exit")
-	timeout := flag.Duration("timeout", 0, "abort the analysis after this duration (0 = none)")
-	retries := flag.Int("retries", 0, "per-scenario retries for transient failures")
-	minScenarios := flag.Int("min-scenarios", 0,
-		"proceed degraded if at least this many scenarios survive (0 = all must succeed)")
-	mcTrials := flag.Int("mc-trials", 0,
-		"validate the analytic distribution with this many sharded Monte Carlo trials (0 = off)")
-	mcSeed := flag.Uint64("mc-seed", 0, "Monte Carlo seed (0 = the pipeline default)")
-	batchPath := flag.String("batch", "",
-		"run a JSON suite file instead of one benchmark; identical entries compute once")
-	surrogateEval := flag.Bool("surrogate-eval", false,
-		"evaluate the ML surrogate fast tier: label the suite exactly, train on a split, print the coverage-vs-accuracy curve")
-	surrogateHoldout := flag.Float64("surrogate-holdout", 0,
-		"held-out fraction for -surrogate-eval (0 = 0.3 default)")
-	surrogateSeed := flag.Uint64("surrogate-seed", 42, "train/test split seed for -surrogate-eval")
-	voltage := flag.Float64("voltage", 0, "supply voltage in volts (0 = nominal 1.1)")
-	temp := flag.Float64("temp", 0, "die temperature in C (0 = nominal 25)")
-	oppointMode := flag.Bool("oppoint", false,
-		"bisect the fastest frequency ratio meeting -target at the given condition")
-	target := flag.Float64("target", 0.01, "target error rate for -oppoint (fraction, not percent)")
-	minRatio := flag.Float64("min-ratio", 1.0, "lower frequency-ratio bound for -oppoint")
-	maxRatio := flag.Float64("max-ratio", 1.3, "upper frequency-ratio bound for -oppoint")
-	steps := flag.Int("steps", 16, "bisection steps for -oppoint")
-	modelCache := cliutil.ModelCacheFlags()
-	flag.Parse()
-	harness.SetModelCache(modelCache())
-	cond := cell.OperatingCondition{VoltageV: *voltage, TempC: *temp}
-	if err := harness.SetOperatingCondition(cond); err != nil {
-		fmt.Fprintf(os.Stderr, "tsperr: %v\n", err)
-		os.Exit(cliutil.ExitUsage)
-	}
-
-	if *explain {
-		fmt.Println(explainText)
-		return
-	}
-	if *surrogateEval {
-		if flag.NArg() != 0 || *batchPath != "" {
-			fmt.Fprintln(os.Stderr, "usage: tsperr -surrogate-eval [-surrogate-holdout F] [-surrogate-seed S] [-timeout D] [-json]")
-			os.Exit(cliutil.ExitUsage)
-		}
-		runSurrogateEval(*timeout, *surrogateHoldout, *surrogateSeed, *jsonOut)
-		return
-	}
-	if *oppointMode {
-		if flag.NArg() != 1 || *batchPath != "" {
-			fmt.Fprintln(os.Stderr, "usage: tsperr -oppoint -target F [-min-ratio R] [-max-ratio R] [-steps N] [-voltage V] [-temp C] [-json] <benchmark>")
-			os.Exit(cliutil.ExitUsage)
-		}
-		runOppoint(flag.Arg(0), *scenarios, *timeout, cond,
-			*target, *minRatio, *maxRatio, *steps, *jsonOut)
-		return
-	}
-	opts := core.AnalyzeOpts{
-		Retries:      *retries,
-		MinScenarios: *minScenarios,
-		MCTrials:     *mcTrials,
-		MCSeed:       *mcSeed,
-	}
-	if *batchPath != "" {
-		if flag.NArg() != 0 {
-			fmt.Fprintln(os.Stderr, "usage: tsperr -batch suite.json [-json] [flags] (no benchmark argument)")
-			os.Exit(cliutil.ExitUsage)
-		}
-		runBatch(*batchPath, *timeout, *scenarios, opts, *jsonOut)
-		return
-	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tsperr [-scenarios N] [-timeout D] [-retries N] [-min-scenarios N] [-mc-trials N] [-json] [-explain] <benchmark>")
-		fmt.Fprintln(os.Stderr, "       tsperr -batch suite.json [-json] [flags]")
-		fmt.Fprintln(os.Stderr, "available benchmarks:")
-		for _, b := range mibench.All() {
-			fmt.Fprintf(os.Stderr, "  %-13s (%s)\n", b.Name, b.Category)
-		}
-		os.Exit(cliutil.ExitUsage)
-	}
-	name := flag.Arg(0)
-	ctx, cancel := cliutil.Context(*timeout)
-	defer cancel()
-	rep, err := harness.AnalyzeWithOpts(ctx, name, *scenarios, opts)
+// printJSON writes v as one indented JSON document on stdout.
+func printJSON(v any) {
+	buf, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tsperr: %s: analysis failed:\n", name)
-		for _, line := range splitLines(harness.FailureDetail(err)) {
-			fmt.Fprintf(os.Stderr, "  %s\n", line)
+		log.Fatal(err)
+	}
+	fmt.Println(string(buf))
+}
+
+// analysisFlags are the flags of the plain estimate and of batch.
+type analysisFlags struct {
+	fs         *flag.FlagSet
+	scenarios  int
+	jsonOut    bool
+	timeout    time.Duration
+	opts       core.AnalyzeOpts
+	modelCache func()
+	condition  func() cell.OperatingCondition
+}
+
+func newAnalysisFlags(sub, synopsis string) *analysisFlags {
+	a := &analysisFlags{fs: newFlagSet(sub, synopsis)}
+	fs := a.fs
+	fs.IntVar(&a.scenarios, "scenarios", harness.DefaultScenarios, "input datasets")
+	fs.BoolVar(&a.jsonOut, "json", false, "emit the report as JSON instead of the text summary")
+	fs.DurationVar(&a.timeout, "timeout", 0, "abort the analysis after this duration (0 = none)")
+	fs.IntVar(&a.opts.Retries, "retries", 0, "per-scenario retries for transient failures")
+	fs.IntVar(&a.opts.MinScenarios, "min-scenarios", 0,
+		"proceed degraded if at least this many scenarios survive (0 = all must succeed)")
+	fs.IntVar(&a.opts.MCTrials, "mc-trials", 0,
+		"validate the analytic distribution with this many sharded Monte Carlo trials (0 = off)")
+	fs.Uint64Var(&a.opts.MCSeed, "mc-seed", 0, "Monte Carlo seed (0 = the pipeline default)")
+	a.condition = conditionFlags(fs)
+	a.modelCache = modelCacheFlags(fs)
+	return a
+}
+
+// parse parses args and configures the harness from the flags.
+func (a *analysisFlags) parse(args []string) {
+	_ = a.fs.Parse(args) // ExitOnError: a bad flag has already exited 2
+	a.modelCache()
+	a.condition()
+}
+
+// runEstimate is the default mode: analyze one benchmark.
+func runEstimate(args []string) {
+	a := newAnalysisFlags("", "[flags] <benchmark>\n       tsperr <subcommand> [flags] [args]")
+	usage := a.fs.Usage
+	a.fs.Usage = func() {
+		usage()
+		names := make([]string, 0, len(subcommands))
+		for name := range subcommands {
+			names = append(names, name)
 		}
-		os.Exit(cliutil.ExitFailure)
+		sort.Strings(names)
+		w := a.fs.Output()
+		fmt.Fprintf(w, "subcommands: %s\n", strings.Join(names, ", "))
+		fmt.Fprintln(w, "available benchmarks:")
+		for _, b := range mibench.All() {
+			fmt.Fprintf(w, "  %-13s (%s)\n", b.Name, b.Category)
+		}
+	}
+	a.parse(args)
+	if a.fs.NArg() != 1 {
+		usageExit(a.fs)
+	}
+	name := a.fs.Arg(0)
+	ctx, cancel := cliutil.Context(a.timeout)
+	defer cancel()
+	rep, err := harness.AnalyzeWithOpts(ctx, name, a.scenarios, a.opts)
+	if err != nil {
+		exitFailed(name+": analysis", err)
 	}
 	if rep.Degraded {
 		fmt.Fprintf(os.Stderr, "tsperr: warning: degraded run, %d scenario(s) dropped:\n", rep.FailedScenarios)
@@ -171,14 +241,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "  %s\n", line)
 		}
 	}
-	if *jsonOut {
+	if a.jsonOut {
 		// The shared core.Report encoding — the same document tsperrd serves
 		// — so scripted consumers parse one schema regardless of entry point.
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(string(buf))
+		printJSON(rep)
 		return
 	}
 	f, _ := harness.SharedFramework()
@@ -213,84 +279,34 @@ func main() {
 	fmt.Printf("break-even error rate: %.3f%%\n", 100*pm.BreakEvenErrorRate())
 }
 
-// batchItemJSON is one entry of the -batch -json document; Report reuses the
-// shared core.Report encoding, the same schema tsperrd serves.
-type batchItemJSON struct {
-	Index      int          `json:"index"`
-	Name       string       `json:"name"`
-	Key        string       `json:"key"`
-	Dedup      bool         `json:"dedup,omitempty"`
-	ElapsedSec float64      `json:"elapsed_sec"`
-	Report     *core.Report `json:"report,omitempty"`
-	Error      string       `json:"error,omitempty"`
-}
+const explainText = `The framework follows the flow of Figures 1 and 2 of the paper:
 
-type batchJSON struct {
-	Items      []batchItemJSON `json:"items"`
-	Computed   int             `json:"computed"`
-	Deduped    int             `json:"deduped"`
-	Failed     int             `json:"failed"`
-	ElapsedSec float64         `json:"elapsed_sec"`
-}
+ 1. Netlist generation & calibration — a 6-stage control network (decoder
+    derived from the TS-V8 opcode table) and gate-level datapath units are
+    generated and delay-calibrated so the point of first failure sits at
+    1.13x the STA frequency; the working point is 1.15x.
+ 2. Datapath model training — Algorithm 1 measures the DTS of the data
+    endpoints while targeted vectors activate carry chains and shifter
+    layers of known depth.
+ 3. Control characterization — per basic block, per incoming edge, the
+    control network is simulated at gate level and Algorithm 2 extracts each
+    instruction's control DTS; a nop-instrumented pass yields the
+    error-conditioned probabilities (Section 4.1).
+ 4. Instrumented simulation — the program runs once per input scenario; the
+    trained datapath model converts operand-dependent activation depths into
+    conditional error probabilities.
+ 5. Marginal probabilities — Equations (1) and (2) plus one linear system per
+    CFG strongly connected component (Section 4.2).
+ 6. Statistics — the error count is approximated Poisson(lambda) with lambda
+    approximately Normal; Chen-Stein and Stein bounds quantify the
+    approximation error (Section 5); Equation (14) gives the CDF.`
 
-// runBatch executes a suite file. Text mode streams one row per entry as it
-// lands; JSON mode emits the whole document at the end. Exits 1 when any
-// entry failed, 2 when the suite itself is unusable.
-func runBatch(path string, timeout time.Duration, scenarios int, opts core.AnalyzeOpts, jsonOut bool) {
-	suite, err := harness.LoadSuite(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tsperr: %v\n", err)
-		os.Exit(cliutil.ExitUsage)
+// runExplain prints the estimation-flow walkthrough.
+func runExplain(args []string) {
+	fs := newFlagSet("explain", "")
+	_ = fs.Parse(args)
+	if fs.NArg() != 0 {
+		usageExit(fs)
 	}
-	ctx, cancel := cliutil.Context(timeout)
-	defer cancel()
-
-	var onResult func(core.BatchItemResult)
-	if !jsonOut {
-		fmt.Println(harness.Table2Header())
-		onResult = func(r core.BatchItemResult) {
-			switch {
-			case r.Err != nil:
-				fmt.Printf("# %s: FAILED: %v\n", r.Name, r.Err)
-			case r.Dedup:
-				fmt.Printf("%s  (deduped)\n", harness.Table2Row(r.Report))
-			default:
-				fmt.Printf("%s  (%.2fs)\n", harness.Table2Row(r.Report), r.Elapsed.Seconds())
-			}
-		}
-	}
-	res, err := harness.RunSuite(ctx, suite, opts, scenarios, onResult)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tsperr: %v\n", err)
-		os.Exit(cliutil.ExitFailure)
-	}
-	if jsonOut {
-		doc := batchJSON{
-			Items:      make([]batchItemJSON, len(res.Items)),
-			Computed:   res.Computed,
-			Deduped:    res.Deduped,
-			Failed:     res.Failed,
-			ElapsedSec: res.Elapsed.Seconds(),
-		}
-		for i, r := range res.Items {
-			doc.Items[i] = batchItemJSON{
-				Index: r.Index, Name: r.Name, Key: r.Key, Dedup: r.Dedup,
-				ElapsedSec: r.Elapsed.Seconds(), Report: r.Report,
-			}
-			if r.Err != nil {
-				doc.Items[i].Error = r.Err.Error()
-			}
-		}
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(string(buf))
-	} else {
-		fmt.Printf("suite: %d entries, %d computed, %d deduped, %d failed in %.2fs\n",
-			len(res.Items), res.Computed, res.Deduped, res.Failed, res.Elapsed.Seconds())
-	}
-	if res.Failed > 0 {
-		os.Exit(cliutil.ExitFailure)
-	}
+	fmt.Println(explainText)
 }

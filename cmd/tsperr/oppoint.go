@@ -2,118 +2,94 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"log"
-	"math"
 	"os"
-	"time"
 
-	"tsperr/internal/cell"
 	"tsperr/internal/cliutil"
 	"tsperr/internal/core"
-	"tsperr/internal/cpu"
 	"tsperr/internal/errormodel"
 	"tsperr/internal/harness"
 	"tsperr/internal/mibench"
 )
 
-// oppointJSON is the -oppoint -json document: the bisection outcome at one
+// oppointJSON is the oppoint -json document: the search outcome at one
 // operating condition, mirroring one point of tsperrd's /v1/oppoint response.
 type oppointJSON struct {
-	Benchmark         string  `json:"benchmark"`
-	VoltageV          float64 `json:"voltage"`
-	TempC             float64 `json:"temp_c"`
-	TargetErrorRate   float64 `json:"target_error_rate"`
-	BaseFreqMHz       float64 `json:"base_freq_mhz"`
-	Feasible          bool    `json:"feasible"`
-	Ratio             float64 `json:"ratio"`
-	PeriodPs          float64 `json:"period_ps"`
-	FreqMHz           float64 `json:"freq_mhz"`
-	ErrorRate         float64 `json:"error_rate"`
-	Speedup           float64 `json:"speedup"`
-	CDFBelowBreakEven float64 `json:"cdf_below_break_even"`
-	Evals             int     `json:"evals"`
+	Benchmark       string  `json:"benchmark"`
+	VoltageV        float64 `json:"voltage"`
+	TempC           float64 `json:"temp_c"`
+	TargetErrorRate float64 `json:"target_error_rate"`
+	BaseFreqMHz     float64 `json:"base_freq_mhz"`
+	core.OppointResult
 }
 
 // runOppoint bisects the fastest frequency ratio meeting the target error
-// rate at one operating condition (tsperr -oppoint). Exit status follows the
-// command contract: 2 for usage errors (already rejected by the caller), 1
+// rate at one operating condition (tsperr oppoint). Exit status follows the
+// command contract: 2 for usage errors — including a search grid or target
+// BisectRatio would reject, caught before any framework is built — and 1
 // for analysis failures; an infeasible target is a result, not a failure.
-func runOppoint(name string, scenarios int, timeout time.Duration, cond cell.OperatingCondition,
-	target, minRatio, maxRatio float64, steps int, jsonOut bool) {
+func runOppoint(args []string) {
+	fs := newFlagSet("oppoint", "[-target F] [-min-ratio R] [-max-ratio R] [-steps N] [-voltage V] [-temp C] [-json] <benchmark>")
+	scenarios := fs.Int("scenarios", harness.DefaultScenarios, "input datasets per probe")
+	jsonOut := fs.Bool("json", false, "emit the operating point as JSON instead of text")
+	timeout := fs.Duration("timeout", 0, "abort the search after this duration (0 = none)")
+	target := fs.Float64("target", 0.01, "target error rate (fraction, not percent)")
+	minRatio := fs.Float64("min-ratio", 1.0, "lower frequency-ratio bound")
+	maxRatio := fs.Float64("max-ratio", 1.3, "upper frequency-ratio bound")
+	steps := fs.Int("steps", 16, "bisection grid steps")
+	condition := conditionFlags(fs)
+	modelCache := modelCacheFlags(fs)
+	_ = fs.Parse(args)
+	modelCache()
+	cond := condition()
+	if fs.NArg() != 1 {
+		usageExit(fs)
+	}
+	if err := core.CheckBisect(*minRatio, *maxRatio, *steps, *target); err != nil {
+		fmt.Fprintf(os.Stderr, "tsperr oppoint: %v\n", err)
+		os.Exit(cliutil.ExitUsage)
+	}
 	// Unknown benchmark is an analysis failure (exit 1), matching the plain
 	// single-benchmark mode; checking upfront avoids building a framework
 	// just to discover the name is bad.
+	name := fs.Arg(0)
 	if _, err := mibench.ByName(name); err != nil {
-		fmt.Fprintf(os.Stderr, "tsperr: %v\n", err)
+		fmt.Fprintf(os.Stderr, "tsperr oppoint: %v\n", err)
 		os.Exit(cliutil.ExitFailure)
 	}
-	if !(target >= 0 && target <= 1) {
-		fmt.Fprintf(os.Stderr, "tsperr: -target %v outside [0, 1]\n", target)
-		os.Exit(cliutil.ExitUsage)
-	}
-	ctx, cancel := cliutil.Context(timeout)
+	ctx, cancel := cliutil.Context(*timeout)
 	defer cancel()
 
-	// Each probed ratio's report is kept so the chosen point's risk summary
-	// comes from the computation that decided the bisection.
-	reports := make(map[uint64]*core.Report)
-	eval := func(ctx context.Context, ratio float64) (float64, error) {
-		rep, err := harness.AnalyzeAtPoint(ctx, name, scenarios, core.AnalyzeOpts{}, cond, ratio)
-		if err != nil {
-			return 0, err
-		}
-		reports[math.Float64bits(ratio)] = rep
-		return rep.Estimate.MeanErrorRate(), nil
-	}
-	res, err := core.BisectRatio(ctx, minRatio, maxRatio, steps, target, eval)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tsperr: %s: oppoint search failed:\n", name)
-		for _, line := range splitLines(harness.FailureDetail(err)) {
-			fmt.Fprintf(os.Stderr, "  %s\n", line)
-		}
-		os.Exit(cliutil.ExitFailure)
-	}
-
 	baseFreq := errormodel.DefaultOptions().BaseFreqMHz
-	pm := cpu.PerfModel{FreqRatio: res.Ratio, BaseCPI: 1, Scheme: cpu.ReplayHalfFrequency}
-	doc := oppointJSON{
-		Benchmark:       name,
-		VoltageV:        cond.Norm().VoltageV,
-		TempC:           cond.Norm().TempC,
-		TargetErrorRate: target,
-		BaseFreqMHz:     baseFreq,
-		Feasible:        res.Feasible,
-		Ratio:           res.Ratio,
-		PeriodPs:        1e6 / baseFreq / res.Ratio,
-		FreqMHz:         baseFreq * res.Ratio,
-		ErrorRate:       res.ErrorRate,
-		Speedup:         pm.Speedup(res.ErrorRate),
-		Evals:           res.Evals,
+	analyze := func(ctx context.Context, ratio float64) (*core.Report, error) {
+		return harness.AnalyzeAtPoint(ctx, name, *scenarios, core.AnalyzeOpts{}, cond, ratio)
 	}
-	if rep := reports[math.Float64bits(res.Ratio)]; rep != nil && rep.Estimate != nil {
-		doc.CDFBelowBreakEven = rep.Estimate.ErrorRateCDF(pm.BreakEvenErrorRate())
+	pt, err := core.SearchOperatingPoint(ctx, *minRatio, *maxRatio, *steps, *target, baseFreq, analyze)
+	if err != nil {
+		exitFailed(name+": oppoint search", err)
 	}
 
-	if jsonOut {
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(string(buf))
+	if *jsonOut {
+		printJSON(oppointJSON{
+			Benchmark:       name,
+			VoltageV:        cond.Norm().VoltageV,
+			TempC:           cond.Norm().TempC,
+			TargetErrorRate: *target,
+			BaseFreqMHz:     baseFreq,
+			OppointResult:   pt,
+		})
 		return
 	}
 	fmt.Printf("%s: operating-point search at %s (base %.0f MHz)\n", name, cond, baseFreq)
 	fmt.Printf("target error rate: %.3g over ratios [%.4g, %.4g] in %d steps (%d evals)\n",
-		target, minRatio, maxRatio, steps, res.Evals)
-	if !res.Feasible {
+		*target, *minRatio, *maxRatio, *steps, pt.Evals)
+	if !pt.Feasible {
 		fmt.Printf("INFEASIBLE: even ratio %.4f has error rate %.3g > target\n",
-			res.Ratio, res.ErrorRate)
+			pt.Ratio, pt.ErrorRate)
 		return
 	}
 	fmt.Printf("fastest feasible ratio: %.4f (%.0f MHz, period %.1f ps)\n",
-		doc.Ratio, doc.FreqMHz, doc.PeriodPs)
+		pt.Ratio, pt.FreqMHz, pt.PeriodPs)
 	fmt.Printf("error rate there: %.3g; expected speedup %.4f; P(profitable) %.3f\n",
-		doc.ErrorRate, doc.Speedup, doc.CDFBelowBreakEven)
+		pt.ErrorRate, pt.Speedup, pt.CDFBelowBreakEven)
 }

@@ -1,21 +1,8 @@
-// Command report produces a single markdown report reproducing the paper's
-// full evaluation: Table 2, a Figure 3 CDF table per benchmark, the
-// operating-point anchors, and a Monte Carlo validation section. It is the
-// one-shot "regenerate everything" entry point.
-//
-// Usage:
-//
-//	report [-scenarios N] [-o file.md] [-timeout D] [-retries N] [-min-scenarios N] [-json]
-//
-// With -json the evaluation is emitted as one machine-readable document
-// (operating point + every benchmark's core.Report in the shared JSON
-// schema) instead of markdown; the Monte Carlo section is markdown-only.
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"log"
 	"math"
@@ -30,22 +17,28 @@ import (
 	"tsperr/internal/montecarlo"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("report: ")
-	scenarios := flag.Int("scenarios", harness.DefaultScenarios, "input datasets per benchmark")
-	out := flag.String("o", "", "output file (default stdout)")
-	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = none)")
-	retries := flag.Int("retries", 0, "per-scenario retries for transient failures")
-	minScenarios := flag.Int("min-scenarios", 0,
+// runReport produces a single markdown report reproducing the paper's full
+// evaluation (tsperr report): Table 2, a Figure 3 CDF table per benchmark,
+// the operating-point anchors, and a Monte Carlo validation section — the
+// one-shot "regenerate everything" entry point. With -json the evaluation is
+// emitted as one machine-readable document (operating point + every
+// benchmark's core.Report in the shared JSON schema) instead of markdown;
+// the Monte Carlo section is markdown-only.
+func runReport(args []string) {
+	fs := newFlagSet("report", "[-scenarios N] [-o file.md] [-timeout D] [-retries N] [-min-scenarios N] [-json]")
+	scenarios := fs.Int("scenarios", harness.DefaultScenarios, "input datasets per benchmark")
+	out := fs.String("o", "", "output file (default stdout)")
+	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = none)")
+	var opts core.AnalyzeOpts
+	fs.IntVar(&opts.Retries, "retries", 0, "per-scenario retries for transient failures")
+	fs.IntVar(&opts.MinScenarios, "min-scenarios", 0,
 		"proceed degraded if at least this many scenarios survive per benchmark (0 = all must succeed)")
-	jsonOut := flag.Bool("json", false, "emit the evaluation as JSON instead of markdown")
-	modelCache := cliutil.ModelCacheFlags()
-	flag.Parse()
-	harness.SetModelCache(modelCache())
+	jsonOut := fs.Bool("json", false, "emit the evaluation as JSON instead of markdown")
+	modelCache := modelCacheFlags(fs)
+	_ = fs.Parse(args)
+	modelCache()
 	ctx, cancel := cliutil.Context(*timeout)
 	defer cancel()
-	opts := core.AnalyzeOpts{Retries: *retries, MinScenarios: *minScenarios}
 
 	var sb strings.Builder
 	f, err := harness.SharedFramework()
@@ -76,8 +69,7 @@ func main() {
 	for _, b := range mibench.All() {
 		rep, err := harness.AnalyzeWithOpts(ctx, b.Name, *scenarios, opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "report: %s: analysis failed:\n%s\n", b.Name, harness.FailureDetail(err))
-			os.Exit(cliutil.ExitFailure)
+			exitFailed(b.Name+": analysis", err)
 		}
 		reports[b.Name] = rep
 		if rep.Degraded {
@@ -160,7 +152,7 @@ func main() {
 
 // emitJSON writes the machine-readable evaluation: the operating point and
 // every benchmark's report in the shared core.Report JSON schema (the same
-// document cmd/tsperr -json prints and tsperrd serves).
+// document tsperr -json prints and tsperrd serves).
 func emitJSON(ctx context.Context, f *core.Framework, scenarios int, opts core.AnalyzeOpts, out string) error {
 	pm := f.PerfModel()
 	doc := struct {

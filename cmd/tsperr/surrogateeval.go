@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
 	"os"
@@ -20,33 +19,43 @@ var surrogateEvalBounds = []float64{0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.35, 0.5,
 // runSurrogateEval labels the benchmark suite with the exact pipeline, trains
 // the surrogate on a split, and reports how the confidence gate trades
 // coverage (fraction of held-out requests served) against accuracy (MAE in
-// log10 error-rate units) as the uncertainty bound sweeps.
-func runSurrogateEval(timeout time.Duration, holdout float64, seed uint64, jsonOut bool) {
-	ctx, cancel := cliutil.Context(timeout)
+// log10 error-rate units) as the uncertainty bound sweeps (tsperr
+// surrogate-eval).
+func runSurrogateEval(args []string) {
+	fs := newFlagSet("surrogate-eval", "[-surrogate-holdout F] [-surrogate-seed S] [-timeout D] [-json]")
+	jsonOut := fs.Bool("json", false, "emit the evaluation as JSON instead of text")
+	timeout := fs.Duration("timeout", 0, "abort the evaluation after this duration (0 = none)")
+	holdout := fs.Float64("surrogate-holdout", 0, "held-out fraction (0 = 0.3 default)")
+	seed := fs.Uint64("surrogate-seed", 42, "train/test split seed")
+	condition := conditionFlags(fs)
+	modelCache := modelCacheFlags(fs)
+	_ = fs.Parse(args)
+	modelCache()
+	condition()
+	if fs.NArg() != 0 {
+		usageExit(fs)
+	}
+	ctx, cancel := cliutil.Context(*timeout)
 	defer cancel()
 	t0 := time.Now()
 	samples, err := harness.SurrogateEvalSamples(ctx, nil, nil)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tsperr: surrogate eval: %v\n", err)
+		log.Print(err)
 		os.Exit(cliutil.ExitFailure)
 	}
 	label := time.Since(t0)
 	res, err := surrogate.Eval(samples, surrogate.Config{Fingerprint: "eval"},
-		surrogateEvalBounds, holdout, seed)
+		surrogateEvalBounds, *holdout, *seed)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tsperr: surrogate eval: %v\n", err)
+		log.Print(err)
 		os.Exit(cliutil.ExitFailure)
 	}
-	if jsonOut {
-		buf, err := json.MarshalIndent(struct {
+	if *jsonOut {
+		printJSON(struct {
 			Samples  int                   `json:"samples"`
 			LabelSec float64               `json:"label_sec"`
 			Result   *surrogate.EvalResult `json:"result"`
-		}{len(samples), label.Seconds(), res}, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(string(buf))
+		}{len(samples), label.Seconds(), res})
 		return
 	}
 	fmt.Printf("surrogate eval: %d labeled samples (exact pipeline, %.1fs), train %d / held-out %d\n",

@@ -165,13 +165,14 @@ func main() {
 		"supply voltage in volts the daemon serves at (0 = nominal 1.1)")
 	temp := flag.Float64("temp", 0,
 		"die temperature in C the daemon serves at (0 = nominal 25)")
-	modelCache := cliutil.ModelCacheFlags()
+	modelCacheDir := cliutil.ModelCacheFlags(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: tsperrd [-listen addr] [flags]; run with -h for the list")
 		os.Exit(cliutil.ExitUsage)
 	}
-	harness.SetModelCache(modelCache())
+	cacheDir := modelCacheDir()
+	harness.SetModelCache(cacheDir != "", cacheDir)
 	if err := harness.SetOperatingCondition(cell.OperatingCondition{VoltageV: *voltage, TempC: *temp}); err != nil {
 		fmt.Fprintf(os.Stderr, "tsperrd: %v\n", err)
 		os.Exit(cliutil.ExitUsage)
@@ -281,18 +282,9 @@ func main() {
 			log.Fatalf("model warm-up failed: %v", err)
 		}
 		if lazyTier != nil {
-			dir := ""
-			if enabled, d := modelCache(); enabled {
-				if d == "" {
-					if def, err := modelcache.DefaultDir(); err == nil {
-						d = def
-					}
-				}
-				dir = d
-			}
 			tier, err := surrogate.New(surrogate.Config{
 				Fingerprint:  fingerprint,
-				Dir:          dir,
+				Dir:          cacheDir,
 				MaxStd:       *surrogateMaxStd,
 				GuardBand:    *surrogateGuardBand,
 				MinTrain:     *surrogateMinTrain,

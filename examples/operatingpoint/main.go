@@ -40,17 +40,12 @@ func main() {
 		"ratio", "freq(MHz)", "errors(%)", "speedup", "verdict")
 
 	for _, ratio := range []float64{1.00, 1.05, 1.10, 1.13, 1.15, 1.18, 1.21, 1.25} {
-		// Re-target the machine at this operating point and re-train the
-		// datapath tables (their DTS depends on the clock).
-		fw.Machine.SetWorkingPeriod(base / ratio)
-		dp, err := fw.Machine.TrainDatapath(context.Background())
-		if err != nil {
-			log.Fatal(err)
-		}
-		fw.Datapath = dp
-		rep, err := fw.Analyze(ctx, b.Name, core.ProgramSpec{
+		// Analyze at this operating point: AnalyzeAtRatio re-targets the
+		// machine, re-trains the datapath tables (their DTS depends on the
+		// clock) and restores the framework afterwards.
+		rep, err := fw.AnalyzeAtRatio(ctx, b.Name, core.ProgramSpec{
 			Prog: b.Prog, Setup: b.Setup, Scenarios: 4, ScaleToInsts: b.ScaleTo,
-		})
+		}, ratio, core.AnalyzeOpts{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -65,6 +60,6 @@ func main() {
 			verdict = "error-free"
 		}
 		fmt.Printf("%8.2f %10.0f %12.4f %12.4f %14s\n",
-			ratio, 1e6/fw.Machine.WorkingPeriodPs, 100*er, speedup, verdict)
+			ratio, 1e6/(base/ratio), 100*er, speedup, verdict)
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"os/signal"
 	"syscall"
 	"time"
+
+	"tsperr/internal/modelcache"
 )
 
 // Exit codes shared by the cmd/ tools: usage errors are distinguishable
@@ -22,16 +24,17 @@ const (
 )
 
 // ModelCacheFlags registers the shared -model-cache and -model-cache-dir
-// flags on the default flag set and returns a function to read them after
-// flag.Parse. The cache defaults to on for the CLI tools (the library keeps
-// it off), so repeated invocations skip the once-per-design calibration and
-// training; -model-cache=false forces a cold build.
-func ModelCacheFlags() func() (enabled bool, dir string) {
-	enabled := flag.Bool("model-cache", true,
+// flags on fs and returns a function to read them after fs.Parse. The reader
+// returns the cache directory resolved by modelcache.ResolveDir — "" means
+// build uncached. The cache defaults to on for the CLI tools (the library
+// keeps it off), so repeated invocations skip the once-per-design
+// calibration and training; -model-cache=false forces a cold build.
+func ModelCacheFlags(fs *flag.FlagSet) func() (dir string) {
+	enabled := fs.Bool("model-cache", true,
 		"reuse calibrated+trained models from the on-disk cache")
-	dir := flag.String("model-cache-dir", "",
+	dir := fs.String("model-cache-dir", "",
 		"model cache directory (default: the user cache dir)")
-	return func() (bool, string) { return *enabled, *dir }
+	return func() string { return modelcache.ResolveDir(*enabled, *dir) }
 }
 
 // Context returns the root context of a CLI invocation: cancelled on

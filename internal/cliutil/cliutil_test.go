@@ -7,6 +7,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"tsperr/internal/modelcache"
 )
 
 func TestContextTimeout(t *testing.T) {
@@ -61,23 +63,25 @@ func TestContextCancelledBySignal(t *testing.T) {
 }
 
 func TestModelCacheFlags(t *testing.T) {
-	// The flags register on the default set (that is the package contract —
-	// every cmd/ tool shares flag.CommandLine), so this test reads defaults
-	// and then flips values via flag.Set rather than re-parsing.
-	read := ModelCacheFlags()
-	enabled, dir := read()
-	if !enabled || dir != "" {
-		t.Fatalf("defaults = (%v, %q), want (true, \"\")", enabled, dir)
-	}
-	if err := flag.Set("model-cache", "false"); err != nil {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	read := ModelCacheFlags(fs)
+	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := flag.Set("model-cache-dir", "/tmp/mc"); err != nil {
+	if got, want := read(), modelcache.ResolveDir(true, ""); got != want {
+		t.Fatalf("default dir = %q, want the resolved default %q", got, want)
+	}
+	if err := fs.Parse([]string{"-model-cache-dir", "/tmp/mc"}); err != nil {
 		t.Fatal(err)
 	}
-	enabled, dir = read()
-	if enabled || dir != "/tmp/mc" {
-		t.Errorf("after Set = (%v, %q), want (false, \"/tmp/mc\")", enabled, dir)
+	if got := read(); got != "/tmp/mc" {
+		t.Errorf("explicit dir = %q, want /tmp/mc", got)
+	}
+	if err := fs.Parse([]string{"-model-cache=false"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(); got != "" {
+		t.Errorf("disabled cache resolved to %q, want \"\" (uncached)", got)
 	}
 }
 

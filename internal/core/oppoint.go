@@ -8,20 +8,6 @@ import (
 	"tsperr/internal/cpu"
 )
 
-// OperatingPoint is one evaluated frequency setting.
-type OperatingPoint struct {
-	// Ratio is speculative over baseline frequency.
-	Ratio float64
-	// ErrorRate is the estimated mean error rate at this frequency.
-	ErrorRate float64
-	// Speedup is the expected performance relative to baseline.
-	Speedup float64
-	// CDFBelowBreakEven is the probability the program's error rate stays
-	// below this point's break-even (a risk measure: high means speculation
-	// is reliably profitable across chips and inputs).
-	CDFBelowBreakEven float64
-}
-
 // AnalyzeAtRatio analyzes the program with the machine re-targeted at the
 // given frequency ratio (speculative over baseline) and the datapath model
 // re-trained for that period, then restores the original working period and
@@ -58,61 +44,6 @@ func (f *Framework) AnalyzeAtRatio(ctx context.Context, name string, spec Progra
 	return f.AnalyzeWithOpts(ctx, name, spec, opts)
 }
 
-// EvaluateOperatingPoint analyzes the program at one frequency ratio and
-// summarizes it as an OperatingPoint under the replay-at-half-frequency
-// performance model. The machine is restored afterwards (see
-// AnalyzeAtRatio).
-func (f *Framework) EvaluateOperatingPoint(ctx context.Context, name string, spec ProgramSpec, ratio float64) (OperatingPoint, error) {
-	rep, err := f.AnalyzeAtRatio(ctx, name, spec, ratio, AnalyzeOpts{})
-	if err != nil {
-		return OperatingPoint{}, err
-	}
-	return reportOperatingPoint(rep, ratio), nil
-}
-
-// reportOperatingPoint summarizes one analyzed report at a frequency ratio.
-func reportOperatingPoint(rep *Report, ratio float64) OperatingPoint {
-	er := rep.Estimate.MeanErrorRate()
-	pm := cpu.PerfModel{FreqRatio: ratio, BaseCPI: 1, Scheme: cpu.ReplayHalfFrequency}
-	return OperatingPoint{
-		Ratio:             ratio,
-		ErrorRate:         er,
-		Speedup:           pm.Speedup(er),
-		CDFBelowBreakEven: rep.Estimate.ErrorRateCDF(pm.BreakEvenErrorRate()),
-	}
-}
-
-// SelectOperatingPoint evaluates the program at each frequency ratio and
-// returns all points plus the index of the best expected speedup — the
-// per-application operating point selection of the authors' companion work
-// (Assare & Gupta, ICCD 2016), here driven by the error-rate estimator.
-// The framework's original working period and datapath are restored on
-// exit, so the sweep leaves no trace on subsequent analyses.
-func (f *Framework) SelectOperatingPoint(ctx context.Context, name string, spec ProgramSpec, ratios []float64) ([]OperatingPoint, int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(ratios) == 0 {
-		return nil, 0, fmt.Errorf("core: no ratios to evaluate")
-	}
-	points := make([]OperatingPoint, len(ratios))
-	best := 0
-	for i, ratio := range ratios {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, fmt.Errorf("core: operating-point sweep aborted at ratio %v: %w", ratio, err)
-		}
-		pt, err := f.EvaluateOperatingPoint(ctx, name, spec, ratio)
-		if err != nil {
-			return nil, 0, err
-		}
-		points[i] = pt
-		if points[i].Speedup > points[best].Speedup {
-			best = i
-		}
-	}
-	return points, best, nil
-}
-
 // MaxBisectSteps bounds the quantized ratio grid of BisectRatio; 2^20 grid
 // intervals resolve a frequency ratio to ~1e-6, far below model fidelity.
 const MaxBisectSteps = 1 << 20
@@ -130,6 +61,23 @@ type BisectResult struct {
 	Evals int
 }
 
+// CheckBisect rejects a BisectRatio search that could not run: a range that
+// is not 0 < lo <= hi < Inf, a step count outside [1, MaxBisectSteps], or a
+// target error rate outside [0, 1]. Callers validating user input up front
+// use it to report the same errors before any evaluation.
+func CheckBisect(lo, hi float64, steps int, target float64) error {
+	if !(lo > 0) || !(hi >= lo) || math.IsInf(hi, 0) {
+		return fmt.Errorf("core: bad bisection range [%v, %v]", lo, hi)
+	}
+	if steps < 1 || steps > MaxBisectSteps {
+		return fmt.Errorf("core: bisection steps %d outside [1, %d]", steps, MaxBisectSteps)
+	}
+	if !(target >= 0 && target <= 1) {
+		return fmt.Errorf("core: target error rate %v outside [0, 1]", target)
+	}
+	return nil
+}
+
 // BisectRatio finds the fastest frequency ratio meeting a target error rate
 // on the quantized grid {lo + i*(hi-lo)/steps : i = 0..steps}, assuming the
 // evaluated error rate is monotone non-decreasing in the ratio (physically:
@@ -142,14 +90,8 @@ func BisectRatio(ctx context.Context, lo, hi float64, steps int, target float64,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if !(lo > 0) || !(hi >= lo) || math.IsInf(hi, 0) {
-		return BisectResult{}, fmt.Errorf("core: bad bisection range [%v, %v]", lo, hi)
-	}
-	if steps < 1 || steps > MaxBisectSteps {
-		return BisectResult{}, fmt.Errorf("core: bisection steps %d outside [1, %d]", steps, MaxBisectSteps)
-	}
-	if !(target >= 0 && target <= 1) {
-		return BisectResult{}, fmt.Errorf("core: target error rate %v outside [0, 1]", target)
+	if err := CheckBisect(lo, hi, steps, target); err != nil {
+		return BisectResult{}, err
 	}
 	ratioAt := func(i int) float64 {
 		if i == steps {
@@ -201,4 +143,64 @@ func BisectRatio(ctx context.Context, lo, hi float64, steps int, target float64,
 		}
 	}
 	return res, nil
+}
+
+// OppointResult is the outcome of one operating-point search: the fastest
+// grid ratio meeting the target (or the infeasible low end), the period and
+// frequency it implies, and the speedup/risk summary at that ratio. Its JSON
+// encoding is embedded by tsperrd's /v1/oppoint points and `tsperr oppoint
+// -json`.
+type OppointResult struct {
+	// Feasible is false when even the slowest grid ratio exceeds the
+	// target; Ratio and ErrorRate then describe that infeasible low end.
+	Feasible  bool    `json:"feasible"`
+	Ratio     float64 `json:"ratio"`
+	PeriodPs  float64 `json:"period_ps"`
+	FreqMHz   float64 `json:"freq_mhz"`
+	ErrorRate float64 `json:"error_rate"`
+	// Speedup is the expected performance relative to baseline under the
+	// replay-at-half-frequency model; CDFBelowBreakEven is the probability
+	// speculation stays profitable across chips and inputs (risk measure).
+	Speedup           float64 `json:"speedup"`
+	CDFBelowBreakEven float64 `json:"cdf_below_break_even"`
+	// Evals counts the bisection probes the search spent.
+	Evals int `json:"evals"`
+}
+
+// SearchOperatingPoint runs BisectRatio over the ratio grid [lo, hi] in
+// steps, evaluating each probe with analyze (which must be deterministic
+// for a given ratio), and summarizes the deciding probe as an OppointResult
+// against the baseline frequency baseFreqMHz. Every probe's report is kept,
+// so the chosen point's risk summary comes from the same computation that
+// decided the bisection — no extra analysis at the end.
+func SearchOperatingPoint(ctx context.Context, lo, hi float64, steps int, target, baseFreqMHz float64,
+	analyze func(context.Context, float64) (*Report, error)) (OppointResult, error) {
+	reports := make(map[uint64]*Report)
+	eval := func(ctx context.Context, ratio float64) (float64, error) {
+		rep, err := analyze(ctx, ratio)
+		if err != nil {
+			return 0, err
+		}
+		if rep == nil || rep.Estimate == nil {
+			return 0, fmt.Errorf("core: analysis at ratio %g returned no estimate", ratio)
+		}
+		reports[math.Float64bits(ratio)] = rep
+		return rep.Estimate.MeanErrorRate(), nil
+	}
+	res, err := BisectRatio(ctx, lo, hi, steps, target, eval)
+	if err != nil {
+		return OppointResult{}, err
+	}
+	// res.Ratio is always a probed ratio, so its report is in the map.
+	pm := cpu.PerfModel{FreqRatio: res.Ratio, BaseCPI: 1, Scheme: cpu.ReplayHalfFrequency}
+	return OppointResult{
+		Feasible:          res.Feasible,
+		Ratio:             res.Ratio,
+		PeriodPs:          1e6 / baseFreqMHz / res.Ratio,
+		FreqMHz:           baseFreqMHz * res.Ratio,
+		ErrorRate:         res.ErrorRate,
+		Speedup:           pm.Speedup(res.ErrorRate),
+		CDFBelowBreakEven: reports[math.Float64bits(res.Ratio)].Estimate.ErrorRateCDF(pm.BreakEvenErrorRate()),
+		Evals:             res.Evals,
+	}, nil
 }

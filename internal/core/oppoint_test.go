@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"testing"
 
@@ -15,49 +16,111 @@ import (
 	"tsperr/internal/isa"
 )
 
+// TestSelectOperatingPoint runs the operating-point search on a real
+// framework: every probe's error rate must be nondecreasing in the ratio,
+// the slow end almost error-free, the risk measure in [0, 1], and the chosen
+// point the fastest probe meeting the target, summarized from its report.
 func TestSelectOperatingPoint(t *testing.T) {
 	f := testFramework(t)
 	prog := isa.MustAssemble("sumloop", fwProg)
 	spec := ProgramSpec{Prog: prog, Setup: fwSetup, Scenarios: 2}
-	ratios := []float64{1.05, 1.13, 1.22}
-	points, best, err := f.SelectOperatingPoint(context.Background(), "sumloop", spec, ratios)
+	reports := make(map[float64]*Report)
+	analyze := func(ctx context.Context, ratio float64) (*Report, error) {
+		rep, err := f.AnalyzeAtRatio(ctx, "sumloop", spec, ratio, AnalyzeOpts{})
+		if err == nil {
+			reports[ratio] = rep
+		}
+		return rep, err
+	}
+	const lo, hi, target = 1.05, 1.22, 1e-3
+	baseFreq := f.Machine.Opts.BaseFreqMHz
+	pt, err := SearchOperatingPoint(context.Background(), lo, hi, 8, target, baseFreq, analyze)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 3 {
-		t.Fatalf("points = %d", len(points))
+	if pt.Evals != len(reports) || pt.Evals < 3 {
+		t.Fatalf("%d evals for %d distinct probes; want a bisection (>= 3)", pt.Evals, len(reports))
 	}
-	// Error rate must be nondecreasing in frequency.
-	for i := 1; i < len(points); i++ {
-		if points[i].ErrorRate < points[i-1].ErrorRate-1e-12 {
-			t.Errorf("error rate fell with frequency: %v", points)
-		}
+	ratios := make([]float64, 0, len(reports))
+	for r := range reports {
+		ratios = append(ratios, r)
 	}
-	// The best point must not be dominated.
-	for i := range points {
-		if points[i].Speedup > points[best].Speedup {
-			t.Errorf("best index wrong: %v vs %v", points[best], points[i])
+	sort.Float64s(ratios)
+	// Error rate must be nondecreasing in frequency along the probes.
+	for i := 1; i < len(ratios); i++ {
+		if reports[ratios[i]].Estimate.MeanErrorRate() < reports[ratios[i-1]].Estimate.MeanErrorRate()-1e-12 {
+			t.Errorf("error rate fell with frequency between ratios %v and %v", ratios[i-1], ratios[i])
 		}
 	}
 	// At the lowest ratio, nearly no errors: speedup ~= ratio.
-	if points[0].Speedup < points[0].Ratio*0.99 {
-		t.Errorf("low ratio should be almost error-free: %+v", points[0])
+	pm := cpu.PerfModel{FreqRatio: lo, BaseCPI: 1, Scheme: cpu.ReplayHalfFrequency}
+	if s := pm.Speedup(reports[lo].Estimate.MeanErrorRate()); s < lo*0.99 {
+		t.Errorf("low ratio should be almost error-free: speedup %v", s)
 	}
-	// Risk measure in [0,1].
-	for _, p := range points {
-		if p.CDFBelowBreakEven < 0 || p.CDFBelowBreakEven > 1 {
-			t.Errorf("risk out of range: %+v", p)
+	// The chosen point is the fastest probe meeting the target.
+	if !pt.Feasible {
+		t.Fatalf("want a feasible point, got %+v", pt)
+	}
+	for _, r := range ratios {
+		if r > pt.Ratio && reports[r].Estimate.MeanErrorRate() <= target {
+			t.Errorf("probe %v meets the target but is faster than the chosen %v", r, pt.Ratio)
 		}
+	}
+	rep := reports[pt.Ratio]
+	if rep == nil || math.Float64bits(pt.ErrorRate) != math.Float64bits(rep.Estimate.MeanErrorRate()) {
+		t.Fatalf("chosen point %+v is not summarized from its probe's report", pt)
+	}
+	// Risk measure in [0,1]; period and frequency follow the ratio.
+	if pt.CDFBelowBreakEven < 0 || pt.CDFBelowBreakEven > 1 {
+		t.Errorf("risk out of range: %+v", pt)
+	}
+	if math.Abs(pt.FreqMHz-baseFreq*pt.Ratio) > 1e-9 || math.Abs(pt.PeriodPs*pt.FreqMHz-1e6) > 1e-6 {
+		t.Errorf("period/frequency inconsistent with ratio: %+v", pt)
 	}
 }
 
+// TestSelectOperatingPointValidation checks that a search that cannot run
+// fails before any analysis, and that analysis errors and report-less
+// answers surface instead of yielding a point.
 func TestSelectOperatingPointValidation(t *testing.T) {
+	ctx := context.Background()
+	calls := 0
+	analyze := func(context.Context, float64) (*Report, error) {
+		calls++
+		return nil, nil
+	}
+	for _, bad := range []struct {
+		lo, hi float64
+		steps  int
+		target float64
+	}{
+		{0, 1.2, 4, 0.01},
+		{1.2, 1.1, 4, 0.01},
+		{1, 1.2, 0, 0.01},
+		{1, 1.2, 4, 2},
+	} {
+		if _, err := SearchOperatingPoint(ctx, bad.lo, bad.hi, bad.steps, bad.target, 718, analyze); err == nil {
+			t.Errorf("SearchOperatingPoint(%+v) should fail", bad)
+		}
+		if err := CheckBisect(bad.lo, bad.hi, bad.steps, bad.target); err == nil {
+			t.Errorf("CheckBisect(%+v) should fail", bad)
+		}
+	}
+	if calls != 0 {
+		t.Errorf("invalid searches ran %d analyses", calls)
+	}
+	if _, err := SearchOperatingPoint(ctx, 1, 1.2, 4, 0.01, 718, analyze); err == nil {
+		t.Error("a report-less analysis should fail the search")
+	}
+	boom := errors.New("boom")
+	_, err := SearchOperatingPoint(ctx, 1, 1.2, 4, 0.01, 718,
+		func(context.Context, float64) (*Report, error) { return nil, boom })
+	if !errors.Is(err, boom) {
+		t.Errorf("analysis error not surfaced: %v", err)
+	}
 	f := testFramework(t)
 	prog := isa.MustAssemble("h", "halt\n")
-	if _, _, err := f.SelectOperatingPoint(context.Background(), "h", ProgramSpec{Prog: prog, Scenarios: 1}, nil); err == nil {
-		t.Error("no ratios should fail")
-	}
-	if _, _, err := f.SelectOperatingPoint(context.Background(), "h", ProgramSpec{Prog: prog, Scenarios: 1}, []float64{-1}); err == nil {
+	if _, err := f.AnalyzeAtRatio(ctx, "h", ProgramSpec{Prog: prog, Scenarios: 1}, -1, AnalyzeOpts{}); err == nil {
 		t.Error("negative ratio should fail")
 	}
 }
@@ -76,10 +139,10 @@ func stableReportJSON(t *testing.T, rep *Report) string {
 	return string(buf)
 }
 
-// TestSweepRestoreBitIdentical is the regression test for the sweep leaving
-// the machine re-targeted at the last evaluated ratio: an Analyze after a
-// SelectOperatingPoint sweep must be bit-identical to one on a framework
-// that never swept.
+// TestSweepRestoreBitIdentical is the regression test for a ratio sweep
+// leaving the machine re-targeted at the last evaluated ratio: an Analyze
+// after AnalyzeAtRatio calls at other ratios must be bit-identical to one on
+// a framework that never swept.
 func TestSweepRestoreBitIdentical(t *testing.T) {
 	f := testFramework(t)
 	ctx := context.Background()
@@ -94,8 +157,10 @@ func TestSweepRestoreBitIdentical(t *testing.T) {
 	wantPeriod := math.Float64bits(f.Machine.WorkingPeriodPs)
 	wantDP := f.Datapath
 
-	if _, _, err := f.SelectOperatingPoint(ctx, "sumloop", spec, []float64{1.05, 1.22}); err != nil {
-		t.Fatal(err)
+	for _, ratio := range []float64{1.05, 1.22} {
+		if _, err := f.AnalyzeAtRatio(ctx, "sumloop", spec, ratio, AnalyzeOpts{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	if got := math.Float64bits(f.Machine.WorkingPeriodPs); got != wantPeriod {

@@ -189,6 +189,9 @@ func (m *Machine) CharacterizeControlWorkers(ctx context.Context, g *cfg.Graph, 
 	}
 	trained := make([]bool, nb)
 	errs := make([]error, nb)
+	// IncomingEdges flushes pending edge counts and fills its adjacency
+	// cache on first use; do both here so the workers below only read pr.
+	pr.IncomingEdges(0)
 	pool.Run(ctx, nb, workers, false, errs, func(_ context.Context, b int) error {
 		return m.characterizeBlock(g, pr, results, cc, trained, b)
 	})

@@ -11,9 +11,7 @@ import (
 
 	"tsperr/internal/core"
 	"tsperr/internal/cpu"
-	"tsperr/internal/errormodel"
 	"tsperr/internal/mibench"
-	"tsperr/internal/modelcache"
 )
 
 // DefaultScenarios is the number of input datasets per benchmark; their
@@ -61,27 +59,7 @@ func SharedFramework() (*core.Framework, error) {
 	if fw != nil {
 		return fw, nil
 	}
-	opts := errormodel.DefaultOptions()
-	opts.Cond = sharedCond
-	if cacheEnabled {
-		dir := cacheDir
-		if dir == "" {
-			d, err := modelcache.DefaultDir()
-			if err == nil {
-				dir = d
-			}
-			// With no usable cache dir, fall through to an uncached build.
-		}
-		if dir != "" {
-			f, _, err := buildFrameworkCached(opts, dir)
-			if err != nil {
-				return nil, err
-			}
-			fw = f
-			return fw, nil
-		}
-	}
-	f, err := buildFramework(opts)
+	f, err := buildAtCondition(sharedCond, cacheEnabled, cacheDir)
 	if err != nil {
 		return nil, err
 	}

@@ -108,25 +108,15 @@ func conditionEntry(key string) *condEntry {
 	return e
 }
 
-// buildAtCondition builds a framework at the given condition, honoring the
-// model-cache policy configured via SetModelCache (the condition is part of
-// the cache key, so each condition warms independently).
-func buildAtCondition(cond cell.OperatingCondition) (*core.Framework, error) {
+// buildAtCondition builds a framework at the given condition under the
+// model-cache policy (enabled, dir) configured via SetModelCache; the
+// condition is part of the cache key, so each condition warms independently.
+func buildAtCondition(cond cell.OperatingCondition, enabled bool, dir string) (*core.Framework, error) {
 	opts := errormodel.DefaultOptions()
 	opts.Cond = cond
-	fwMu.Lock()
-	enabled, dir := cacheEnabled, cacheDir
-	fwMu.Unlock()
-	if enabled {
-		if dir == "" {
-			if d, err := modelcache.DefaultDir(); err == nil {
-				dir = d
-			}
-		}
-		if dir != "" {
-			f, _, err := buildFrameworkCached(opts, dir)
-			return f, err
-		}
+	if dir := modelcache.ResolveDir(enabled, dir); dir != "" {
+		f, _, err := buildFrameworkCached(opts, dir)
+		return f, err
 	}
 	return buildFramework(opts)
 }
@@ -159,7 +149,10 @@ func AnalyzeAtPoint(ctx context.Context, name string, scenarios int, opts core.A
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.fw == nil {
-		f, err := buildAtCondition(cond)
+		fwMu.Lock()
+		enabled, dir := cacheEnabled, cacheDir
+		fwMu.Unlock()
+		f, err := buildAtCondition(cond, enabled, dir)
 		if err != nil {
 			return nil, err
 		}
@@ -170,14 +163,4 @@ func AnalyzeAtPoint(ctx context.Context, name string, scenarios int, opts core.A
 		r = e.fw.Machine.Opts.WorkingRatio
 	}
 	return e.fw.AnalyzeAtRatio(ctx, b.Name, SpecFor(b, scenarios), r, opts)
-}
-
-// EvaluateAtPoint is AnalyzeAtPoint summarized as an error rate — the eval
-// function of an operating-point bisection.
-func EvaluateAtPoint(ctx context.Context, name string, scenarios int, cond cell.OperatingCondition, ratio float64) (float64, error) {
-	rep, err := AnalyzeAtPoint(ctx, name, scenarios, core.AnalyzeOpts{}, cond, ratio)
-	if err != nil {
-		return 0, err
-	}
-	return rep.Estimate.MeanErrorRate(), nil
 }

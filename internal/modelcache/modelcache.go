@@ -75,6 +75,24 @@ func DefaultDir() (string, error) {
 	return filepath.Join(base, "tsperr"), nil
 }
 
+// ResolveDir applies the one model-cache directory policy of the library
+// and the CLIs: a disabled cache resolves to "" (build uncached), an explicit
+// dir is used as given, and otherwise DefaultDir — or "" when the user has
+// no cache directory.
+func ResolveDir(enabled bool, dir string) string {
+	if !enabled {
+		return ""
+	}
+	if dir != "" {
+		return dir
+	}
+	d, err := DefaultDir()
+	if err != nil {
+		return ""
+	}
+	return d
+}
+
 // Save atomically writes a snapshot under its key, creating dir as needed.
 // The snapshot's Schema and Key fields are stamped here.
 func Save(dir, key string, snap *Snapshot) error {

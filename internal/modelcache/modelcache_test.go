@@ -221,3 +221,19 @@ func TestDefaultDir(t *testing.T) {
 		t.Errorf("default dir %q should end in tsperr", d)
 	}
 }
+
+func TestResolveDir(t *testing.T) {
+	if got := ResolveDir(false, "/x"); got != "" {
+		t.Errorf("disabled cache resolved to %q, want \"\"", got)
+	}
+	if got := ResolveDir(true, "/x"); got != "/x" {
+		t.Errorf("explicit dir resolved to %q, want /x", got)
+	}
+	want := ""
+	if d, err := DefaultDir(); err == nil {
+		want = d
+	}
+	if got := ResolveDir(true, ""); got != want {
+		t.Errorf("default dir resolved to %q, want %q", got, want)
+	}
+}

@@ -12,14 +12,13 @@ import (
 
 	"tsperr/internal/cell"
 	"tsperr/internal/core"
-	"tsperr/internal/cpu"
 	"tsperr/internal/errormodel"
 )
 
 // POST /v1/oppoint: operating-point selection as a service. Given a target
-// error rate and a (voltage, temperature) grid, the handler bisects over the
-// frequency ratio at each condition — core.BisectRatio's deterministic index
-// bisection — and returns the Pareto frontier of fastest (period, voltage)
+// error rate and a (voltage, temperature) grid, the handler runs
+// core.SearchOperatingPoint at each condition — a deterministic index
+// bisection over the frequency ratio — and returns the Pareto frontier of fastest (period, voltage)
 // points meeting the target. Every bisection probe is an ordinary estimate
 // sub-request pushed through the same join machinery as /v1/estimate, so
 // probes hit the LRU cache and dedup against concurrent searches and plain
@@ -62,26 +61,13 @@ type OppointRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// OppointPoint is one condition's search outcome: the fastest grid ratio
-// meeting the target (or the infeasible low end), with the period/frequency
-// it implies and the speedup/risk summary at that ratio.
+// OppointPoint is one condition's search outcome: the condition plus the
+// core.SearchOperatingPoint result there (fastest ratio meeting the target,
+// or the infeasible low end, with its period, frequency, speedup and risk).
 type OppointPoint struct {
 	VoltageV float64 `json:"voltage"`
 	TempC    float64 `json:"temp_c"`
-	// Feasible is false when even MinRatio exceeds the target; Ratio and
-	// ErrorRate then describe that infeasible low end.
-	Feasible  bool    `json:"feasible"`
-	Ratio     float64 `json:"ratio"`
-	PeriodPs  float64 `json:"period_ps"`
-	FreqMHz   float64 `json:"freq_mhz"`
-	ErrorRate float64 `json:"error_rate"`
-	// Speedup is the expected performance relative to baseline under the
-	// replay-at-half-frequency model; CDFBelowBreakEven is the probability
-	// speculation stays profitable across chips and inputs (risk measure).
-	Speedup           float64 `json:"speedup"`
-	CDFBelowBreakEven float64 `json:"cdf_below_break_even"`
-	// Evals counts the bisection probes this condition spent.
-	Evals int `json:"evals"`
+	core.OppointResult
 }
 
 // OppointResponse is the POST /v1/oppoint success body.
@@ -253,7 +239,6 @@ func (s *Server) handleOppoint(w http.ResponseWriter, r *http.Request) {
 	}
 
 	baseFreq := errormodel.DefaultOptions().BaseFreqMHz
-	basePeriod := 1e6 / baseFreq
 	resp := OppointResponse{
 		Benchmark:       q.Benchmark,
 		TargetErrorRate: q.TargetErrorRate,
@@ -263,11 +248,7 @@ func (s *Server) handleOppoint(w http.ResponseWriter, r *http.Request) {
 	for _, cond := range q.conditions() {
 		cond := cond
 		s.met.oppointSearches.Add(1)
-		// reports keeps each probed ratio's full report so the chosen
-		// point's risk summary comes from the same computation that decided
-		// the bisection — no extra probe at the end.
-		reports := make(map[uint64]*core.Report)
-		eval := func(ctx context.Context, ratio float64) (float64, error) {
+		analyze := func(ctx context.Context, ratio float64) (*core.Report, error) {
 			sub := &Request{
 				Benchmark: q.Benchmark,
 				Scenarios: q.Scenarios,
@@ -277,19 +258,15 @@ func (s *Server) handleOppoint(w http.ResponseWriter, r *http.Request) {
 			}
 			rep, cached, err := s.oppointSub(ctx, sub)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
 			resp.Subrequests++
 			if cached {
 				resp.CacheHits++
 			}
-			if rep == nil || rep.Estimate == nil {
-				return 0, fmt.Errorf("sub-request at %s ratio %g returned no estimate", cond, ratio)
-			}
-			reports[math.Float64bits(ratio)] = rep
-			return rep.Estimate.MeanErrorRate(), nil
+			return rep, nil
 		}
-		res, err := core.BisectRatio(ctx, q.MinRatio, q.MaxRatio, q.Steps, q.TargetErrorRate, eval)
+		res, err := core.SearchOperatingPoint(ctx, q.MinRatio, q.MaxRatio, q.Steps, q.TargetErrorRate, baseFreq, analyze)
 		if err != nil {
 			code := http.StatusInternalServerError
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, errOppointQueueFull) {
@@ -301,22 +278,7 @@ func (s *Server) handleOppoint(w http.ResponseWriter, r *http.Request) {
 		if !res.Feasible {
 			s.met.oppointInfeasible.Add(1)
 		}
-		pm := cpu.PerfModel{FreqRatio: res.Ratio, BaseCPI: 1, Scheme: cpu.ReplayHalfFrequency}
-		pt := OppointPoint{
-			VoltageV:  cond.VoltageV,
-			TempC:     cond.TempC,
-			Feasible:  res.Feasible,
-			Ratio:     res.Ratio,
-			PeriodPs:  basePeriod / res.Ratio,
-			FreqMHz:   baseFreq * res.Ratio,
-			ErrorRate: res.ErrorRate,
-			Speedup:   pm.Speedup(res.ErrorRate),
-			Evals:     res.Evals,
-		}
-		if rep := reports[math.Float64bits(res.Ratio)]; rep != nil && rep.Estimate != nil {
-			pt.CDFBelowBreakEven = rep.Estimate.ErrorRateCDF(pm.BreakEvenErrorRate())
-		}
-		resp.Points = append(resp.Points, pt)
+		resp.Points = append(resp.Points, OppointPoint{VoltageV: cond.VoltageV, TempC: cond.TempC, OppointResult: res})
 	}
 	resp.Frontier = oppointFrontier(resp.Points)
 	writeJSON(w, http.StatusOK, resp)
