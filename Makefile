@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint lint-fix-check check fuzz cover smoke smoke-cluster smoke-surrogate smoke-oppoint bench pprof clean
+.PHONY: all build test fmt-check lint lint-fix-check check fuzz cover smoke smoke-cluster smoke-surrogate smoke-oppoint bench pprof clean
 
 all: build
 
@@ -17,11 +17,17 @@ build:
 test:
 	$(GO) test ./...
 
+# `make fmt-check` fails when gofmt would rewrite any tracked Go file
+# outside testdata/ (analyzer fixtures there keep their deliberate layout).
+fmt-check:
+	@files=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l); \
+	if [ -n "$$files" ]; then echo "gofmt -l lists unformatted files:"; echo "$$files"; exit 1; fi
+
 # `make lint` runs the project-specific static analysis (DESIGN.md §9/§14):
-# the tsperrlint pass suite over every package including test files, the
-# structural lint over every generated pipeline netlist, and the
-# suppression-budget ratchet (lint.budget: directive counts only go down).
-lint:
+# the gofmt check, the tsperrlint pass suite over every package including
+# test files, the structural lint over every generated pipeline netlist, and
+# the suppression-budget ratchet (lint.budget: directive counts only go down).
+lint: fmt-check
 	$(GO) run ./cmd/tsperrlint -tests ./...
 	$(GO) run ./cmd/tsperrlint -netlist
 	$(GO) run ./cmd/tsperrlint -ignores -budget lint.budget ./... >/dev/null

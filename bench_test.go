@@ -9,6 +9,8 @@ package tsperr
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -472,7 +474,10 @@ func BenchmarkPeriodSweepTraining(b *testing.B) {
 	}
 }
 
-// BenchmarkPoissonMixtureCDF measures the Equation (14) quadrature.
+// BenchmarkPoissonMixtureCDF measures one Equation (14) CDF evaluation at
+// the mean of patricia's lambda distribution (lambda ~ 2400, the exact
+// Poisson regime), and fails if the value there is not near one half, so it
+// cannot time a degenerate all-zero evaluation.
 func BenchmarkPoissonMixtureCDF(b *testing.B) {
 	if _, err := harness.SharedFramework(); err != nil {
 		b.Fatal(err)
@@ -482,10 +487,70 @@ func BenchmarkPoissonMixtureCDF(b *testing.B) {
 		b.Fatal(err)
 	}
 	e := rep.Estimate
+	var c float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = e.ErrorCountCDF(e.LambdaMean)
+		c = e.ErrorCountCDF(e.LambdaMean)
 	}
+	b.StopTimer()
+	if c < 0.3 || c > 0.7 {
+		b.Fatalf("CDF at the mean = %v, want near 0.5", c)
+	}
+	b.ReportMetric(c, "cdf_at_mean")
+}
+
+// BenchmarkEstimateMarshalJSON measures the encode layer of a served report
+// for kernels in the exact Poisson regime. "first" encodes a freshly decoded
+// estimate each iteration, so it pays for the p50/p95/p99 bisections on the
+// Equation (14) CDF; "memo" re-encodes one estimate, whose quantiles are
+// memoized, so it is plain JSON encoding (the cost of a cache hit).
+func BenchmarkEstimateMarshalJSON(b *testing.B) {
+	if _, err := harness.SharedFramework(); err != nil {
+		b.Fatal(err)
+	}
+	const scenarios = 4
+	names := []string{"patricia", "stringsearch", "gsm.encode"}
+	ests := make([]*core.Estimate, len(names))
+	wires := make([][]byte, len(names))
+	for i, name := range names {
+		rep, err := harness.Analyze(context.Background(), name, scenarios)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ests[i] = rep.Estimate
+		if wires[i], err = json.Marshal(rep.Estimate); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("first", func(b *testing.B) {
+		for i, name := range names {
+			b.Run(fmt.Sprintf("%s/%d", name, scenarios), func(b *testing.B) {
+				for n := 0; n < b.N; n++ {
+					b.StopTimer()
+					var e core.Estimate
+					if err := json.Unmarshal(wires[i], &e); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					if _, err := json.Marshal(&e); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	})
+	b.Run("memo", func(b *testing.B) {
+		for i, name := range names {
+			b.Run(fmt.Sprintf("%s/%d", name, scenarios), func(b *testing.B) {
+				b.ReportAllocs()
+				for n := 0; n < b.N; n++ {
+					if _, err := json.Marshal(ests[i]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	})
 }
 
 // BenchmarkRNG measures the Monte Carlo random source.

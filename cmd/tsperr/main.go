@@ -257,9 +257,8 @@ func runEstimate(args []string) {
 	mean := e.MeanErrorRate()
 	fmt.Printf("error rate: mean %.3f%%  sd %.3f%%  (lambda %.1f over %.3g instructions)\n",
 		100*mean, 100*e.StdErrorRate(), e.LambdaMean, e.TotalInsts)
-	fmt.Printf("quantiles: P50 %.3f%%  P95 %.3f%%  P99 %.3f%%\n",
-		100*e.ErrorRateQuantile(0.50), 100*e.ErrorRateQuantile(0.95),
-		100*e.ErrorRateQuantile(0.99))
+	p50, p95, p99 := e.Quantiles()
+	fmt.Printf("quantiles: P50 %.3f%%  P95 %.3f%%  P99 %.3f%%\n", 100*p50, 100*p95, 100*p99)
 	fmt.Printf("bounds: d_K(lambda) <= %.3f, d_K(R_E) <= %.3f\n", e.DKLambda, e.DKCount)
 	if mc := rep.MC; mc != nil {
 		verdict := "within"

@@ -76,6 +76,7 @@ func runReport(args []string) {
 			degraded = append(degraded, rep)
 		}
 		e := rep.Estimate
+		_, p95, _ := e.Quantiles()
 		mark := ""
 		if rep.Degraded {
 			mark = " †"
@@ -84,7 +85,7 @@ func runReport(args []string) {
 			rep.Name, mark, rep.Instructions, rep.BasicBlocks,
 			100*e.MeanErrorRate(), 100*e.StdErrorRate(),
 			e.DKLambda, e.DKCount,
-			100*e.ErrorRateQuantile(0.95),
+			100*p95,
 			pm.ImprovementPct(e.MeanErrorRate()))
 	}
 	for _, rep := range degraded {

@@ -121,7 +121,7 @@ func TestTie(t *testing.T) {
 // exit 2 and a ratchet message.
 func TestIgnoresBudget(t *testing.T) {
 	writeModule(t, map[string]string{
-		"a.go":        suppressedSrc,
+		"a.go":         suppressedSrc,
 		"under.budget": "# suppression ratchet\nfloatcmp 2\n",
 		"over.budget":  "floatcmp 1\n",
 	})

@@ -232,7 +232,7 @@ func (pr *Profile) observeStart(idx, prevIdx int) {
 	if prevIdx >= 0 {
 		from := blockOf[prevIdx]
 		k := uint64(uint32(from))<<32 | uint64(uint32(b))
-		s := int((k * pendHash) >> 56) & (pendSlots - 1)
+		s := int((k*pendHash)>>56) & (pendSlots - 1)
 		if pr.pendK[s] != k {
 			if pr.pendN[s] != 0 {
 				old := pr.pendK[s]

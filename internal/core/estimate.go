@@ -59,6 +59,11 @@ type Estimate struct {
 	mixNodes []float64
 	mixW     []float64
 	mixTrunc float64
+
+	// Headline-quantile memo: p50/p95/p99 are computed once per estimate,
+	// so every re-encode of a cached report is plain JSON encoding.
+	quantOnce sync.Once
+	quant     [3]float64
 }
 
 // NewEstimate runs the Section 5 estimation over the scenarios. ctx cancels
@@ -251,7 +256,10 @@ func (e *Estimate) initMixture() {
 // errors, integrating the Poisson CDF against the Gaussian density of
 // lambda, clamped to lambda > 0. Only the Poisson CDF factor depends on k;
 // the quadrature nodes and Gaussian weights come from the per-estimate memo.
+// The value depends on k only through floor(k), which is what lets the
+// quantile search memoize it by integer error count.
 func (e *Estimate) poissonMixtureCDF(k float64) float64 {
+	k = math.Floor(k)
 	if e.LambdaStd <= 0 {
 		return dist.Poisson{Lambda: math.Max(0, e.LambdaMean)}.CDF(k)
 	}
@@ -310,6 +318,29 @@ func (e *Estimate) StdErrorRate() float64 {
 // found by bisection on the Equation (14) CDF. It answers questions like
 // "what error rate will 95 % of (chip, input) pairs stay under?".
 func (e *Estimate) ErrorRateQuantile(p float64) float64 {
+	return e.rateQuantile(p, map[float64]float64{})
+}
+
+// Quantiles returns the headline P50, P95 and P99 error rates, computed on
+// first use and memoized for the estimate's lifetime; the wire encoding and
+// the CLI both read them here. Like the quadrature memo it assumes the
+// estimate's fields no longer change once it is queried.
+func (e *Estimate) Quantiles() (p50, p95, p99 float64) {
+	e.quantOnce.Do(func() {
+		memo := map[float64]float64{}
+		for i, p := range [...]float64{0.50, 0.95, 0.99} {
+			e.quant[i] = e.rateQuantile(p, memo)
+		}
+	})
+	return e.quant[0], e.quant[1], e.quant[2]
+}
+
+// rateQuantile bisects the Equation (14) CDF for p. The CDF is only ever
+// evaluated at k = floor(rate * TotalInsts) and its value depends on nothing
+// else, so memo (private to the caller, keyed by k) answers the repeat
+// visits the bisection makes once its bracket is narrower than one error,
+// bit-identically to re-evaluating them.
+func (e *Estimate) rateQuantile(p float64, memo map[float64]float64) float64 {
 	if p <= 0 {
 		return 0
 	}
@@ -320,10 +351,19 @@ func (e *Estimate) ErrorRateQuantile(p float64) float64 {
 	if p >= 1 {
 		return hi
 	}
+	cdf := func(rate float64) float64 {
+		k := math.Floor(rate * e.TotalInsts)
+		c, ok := memo[k]
+		if !ok {
+			c = e.poissonMixtureCDF(k)
+			memo[k] = c
+		}
+		return c
+	}
 	lo := 0.0
 	for i := 0; i < 60 && hi-lo > 1e-12; i++ {
 		mid := (lo + hi) / 2
-		if e.ErrorRateCDF(mid) < p {
+		if cdf(mid) < p {
 			lo = mid
 		} else {
 			hi = mid

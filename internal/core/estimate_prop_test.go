@@ -73,3 +73,35 @@ func TestMixtureCDFIsACDF(t *testing.T) {
 		}
 	}
 }
+
+// The quantile bisection memoizes the mixture CDF by integer error count.
+// Against a plain bisection that re-evaluates ErrorRateCDF at every step, the
+// memoized answer must be bit-identical over seeded random estimates in both
+// Poisson regimes.
+func TestRateQuantileMemoBitIdentical(t *testing.T) {
+	plain := func(e *Estimate, p float64) float64 {
+		lo := 0.0
+		hi := (e.LambdaMean + 10*e.LambdaStd + 10*math.Sqrt(math.Max(1, e.LambdaMean))) / e.TotalInsts
+		for i := 0; i < 60 && hi-lo > 1e-12; i++ {
+			mid := (lo + hi) / 2
+			if e.ErrorRateCDF(mid) < p {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		return (lo + hi) / 2
+	}
+	rng := numeric.NewRNG(0x9e55)
+	for i := 0; i < 12; i++ {
+		mean := math.Exp(math.Log(0.5) + math.Log(2e4)*rng.Float64())
+		e := &Estimate{LambdaMean: mean, LambdaStd: mean / 4 * rng.Float64(), TotalInsts: 1e6}
+		for _, p := range []float64{0.05, 0.5, 0.95, 0.99} {
+			got, want := e.ErrorRateQuantile(p), plain(e, p)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("case %d p=%v: memoized quantile %v, plain bisection %v (mean %v std %v)",
+					i, p, got, want, e.LambdaMean, e.LambdaStd)
+			}
+		}
+	}
+}

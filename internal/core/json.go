@@ -142,17 +142,19 @@ func (e *Estimate) UnmarshalJSON(b []byte) error {
 
 // MarshalJSON renders the estimate's wire schema, including the derived
 // error-rate quantiles so clients never re-implement the Equation (14)
-// quadrature.
+// quadrature. The quantiles come from the per-estimate memo, so only the
+// first encode of an estimate pays for them.
 func (e *Estimate) MarshalJSON() ([]byte, error) {
+	p50, p95, p99 := e.Quantiles()
 	out := estimateJSON{
 		LambdaMean:    e.LambdaMean,
 		LambdaStd:     e.LambdaStd,
 		TotalInsts:    e.TotalInsts,
 		MeanErrorRate: e.MeanErrorRate(),
 		StdErrorRate:  e.StdErrorRate(),
-		P50:           e.ErrorRateQuantile(0.50),
-		P95:           e.ErrorRateQuantile(0.95),
-		P99:           e.ErrorRateQuantile(0.99),
+		P50:           p50,
+		P95:           p95,
+		P99:           p99,
 		DKLambda:      e.DKLambda,
 		DKCount:       e.DKCount,
 		B1:            e.B1,

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -211,5 +213,86 @@ func TestEstimateJSONMatchesAccessors(t *testing.T) {
 	if m["p50_error_rate"] >= m["p95_error_rate"] || m["p95_error_rate"] >= m["p99_error_rate"] {
 		t.Errorf("quantiles not increasing: %v / %v / %v",
 			m["p50_error_rate"], m["p95_error_rate"], m["p99_error_rate"])
+	}
+}
+
+// exactRegimeReport is a report whose estimate lives in the exact Poisson
+// regime (lambda <= 5000, nonzero spread), so encoding it runs the
+// Equation (14) quantile bisections.
+func exactRegimeReport() *Report {
+	r := goldenReport()
+	r.Estimate = &Estimate{
+		LambdaMean: 2400,
+		LambdaStd:  45,
+		TotalInsts: 1.16e6,
+		DKLambda:   0.034,
+		DKCount:    0.032,
+		B1:         0.5,
+		B2:         0.25,
+	}
+	return r
+}
+
+// Concurrent encodes of one shared report (a cache hit, a dedup join and a
+// proxy re-marshal can all land at once) race on the quantile memo's first
+// fill. Every encoder must see the same bytes as a serial encode of an
+// identical report, and those bytes must survive a decode/re-encode.
+func TestReportMarshalJSONConcurrent(t *testing.T) {
+	want, err := json.Marshal(exactRegimeReport())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := exactRegimeReport()
+	const n = 16
+	got := make([][]byte, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = shared.MarshalJSON()
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("encoder %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(got[i], want) {
+			t.Fatalf("encoder %d drifted from the serial encode:\n got: %s\nwant: %s", i, got[i], want)
+		}
+	}
+	var dec Report
+	if err := json.Unmarshal(want, &dec); err != nil {
+		t.Fatal(err)
+	}
+	again, err := dec.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, want) {
+		t.Errorf("round trip drifted:\n got: %s\nwant: %s", again, want)
+	}
+}
+
+// The headline quantiles share one k-memo across p50/p95/p99 and are then
+// memoized per estimate: the shared memo must give bit-for-bit the values of
+// independent ErrorRateQuantile calls, and a repeat query must not recompute
+// (shown by changing an input after the first query, which the memo ignores).
+func TestQuantilesMemo(t *testing.T) {
+	e := exactRegimeReport().Estimate
+	p50, p95, p99 := e.Quantiles()
+	for _, c := range []struct{ p, got float64 }{{0.50, p50}, {0.95, p95}, {0.99, p99}} {
+		if want := e.ErrorRateQuantile(c.p); math.Float64bits(c.got) != math.Float64bits(want) {
+			t.Errorf("Quantiles p%v = %v, ErrorRateQuantile = %v", 100*c.p, c.got, want)
+		}
+	}
+	e.TotalInsts = 0 // ErrorRateQuantile would now answer 0
+	q50, q95, q99 := e.Quantiles()
+	if math.Float64bits(q50) != math.Float64bits(p50) ||
+		math.Float64bits(q95) != math.Float64bits(p95) ||
+		math.Float64bits(q99) != math.Float64bits(p99) {
+		t.Errorf("repeat Quantiles recomputed: %v %v %v, first %v %v %v", q50, q95, q99, p50, p95, p99)
 	}
 }

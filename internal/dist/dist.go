@@ -73,6 +73,14 @@ func (p Poisson) PMF(k int) float64 {
 // normal approximation with continuity correction, whose error is
 // O(1/sqrt(Lambda)) and negligible at the program scales of the paper
 // (Lambda in the millions).
+//
+// Up to Lambda = 5000 the CDF is an exact PMF sum over the window
+// mode ± w, w = ceil(12*sqrt(Lambda) + 24), outside which the Poisson mass is
+// below 1e-32. The terms are taken relative to the mode term, so exp(-Lambda)
+// (which underflows from Lambda ~ 745) is never formed, and the result is
+// the self-normalised ratio of the partial to the full window sum: exactly 0
+// below the window, exactly 1 above it, and O(sqrt(Lambda)) work in between
+// whatever k is.
 func (p Poisson) CDF(x float64) float64 {
 	if x < 0 {
 		return 0
@@ -84,15 +92,41 @@ func (p Poisson) CDF(x float64) float64 {
 	if p.Lambda > 5000 {
 		return numeric.NormalCDF((k + 0.5 - p.Lambda) / math.Sqrt(p.Lambda))
 	}
-	// Direct stable summation in the log domain, anchored at the mode.
-	var sum numeric.KahanSum
-	term := math.Exp(-p.Lambda)
-	sum.Add(term)
-	for i := 1; i <= int(k); i++ {
-		term *= p.Lambda / float64(i)
-		sum.Add(term)
+	mode := math.Floor(p.Lambda)
+	w := math.Ceil(12*math.Sqrt(p.Lambda) + 24)
+	lo, hi := math.Max(0, mode-w), mode+w
+	if k < lo {
+		return 0
 	}
-	return math.Min(1, sum.Value())
+	if k >= hi {
+		return 1
+	}
+	// t runs over P(X=i)/P(X=mode), down from the mode by i/lambda and up
+	// by lambda/i, summed into the terms at or below k (part) and above it
+	// (rest). The terms are positive and each is at most the sum it joins,
+	// so plain accumulation stays within a few ulps of a compensated sum.
+	inv := 1 / p.Lambda
+	var part, rest float64
+	t := 1.0
+	i := mode
+	for ; i > k; i-- {
+		rest += t
+		t *= i * inv
+	}
+	for ; i >= lo; i-- {
+		part += t
+		t *= i * inv
+	}
+	t = 1
+	for i = mode + 1; i <= k; i++ {
+		t *= p.Lambda / i
+		part += t
+	}
+	for ; i <= hi; i++ {
+		t *= p.Lambda / i
+		rest += t
+	}
+	return part / (part + rest)
 }
 
 // Mean returns Lambda.

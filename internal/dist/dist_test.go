@@ -243,3 +243,57 @@ func TestLinearGrid(t *testing.T) {
 		t.Error("degenerate n should clamp to 1 interval")
 	}
 }
+
+// poissonCDFRef is an independent reference for Poisson.CDF: the PMF summed
+// term by term from 0 in the log domain via Lgamma, with each term formed on
+// its own so no running product can underflow or drift.
+func poissonCDFRef(lambda float64, k int) float64 {
+	var sum numeric.KahanSum
+	for i := 0; i <= k; i++ {
+		lg, _ := math.Lgamma(float64(i) + 1)
+		sum.Add(math.Exp(float64(i)*math.Log(lambda) - lambda - lg))
+	}
+	return math.Min(1, sum.Value())
+}
+
+// The exact branch must match the reference across the whole lambda range it
+// serves, including the band above lambda ~ 708 where exp(-lambda) loses
+// precision and above ~ 745 where it underflows to zero.
+func TestPoissonCDFMatchesLogDomainReference(t *testing.T) {
+	for _, lambda := range []float64{0.3, 3, 20, 700, 708, 746, 1000, 2400, 4999} {
+		s := math.Sqrt(lambda)
+		for _, kf := range []float64{0, lambda / 2, lambda - s, lambda + s, lambda + 40*s} {
+			k := int(math.Floor(kf))
+			got := Poisson{Lambda: lambda}.CDF(float64(k))
+			want := poissonCDFRef(lambda, k)
+			if d := math.Abs(got - want); d > 1e-10 {
+				t.Errorf("lambda=%v k=%d: CDF=%v, reference %v (diff %.3g)", lambda, k, got, want, d)
+			}
+		}
+	}
+}
+
+// The median of a Poisson law sits within one of its mean, so CDF(lambda) is
+// near one half. Before the mode-relative window this failed from lambda ~ 745
+// (the CDF was identically zero), while the monotonicity property still passed.
+func TestPoissonCDFAtMeanNearHalf(t *testing.T) {
+	for lambda := 708.0; lambda <= 5000; lambda += 73.7 {
+		if c := (Poisson{Lambda: lambda}).CDF(lambda); c <= 0.45 || c >= 0.55 {
+			t.Errorf("lambda=%v: CDF(lambda)=%v, want in (0.45, 0.55)", lambda, c)
+		}
+	}
+}
+
+// Across the 5000 switchover the exact sum and the normal approximation with
+// continuity correction differ only by the approximation error, O(1/sqrt(lambda)).
+func TestPoissonCDFContinuousAcrossRegimes(t *testing.T) {
+	exact, approx := Poisson{Lambda: 4999.9}, Poisson{Lambda: 5000.1}
+	s := math.Sqrt(5000.0)
+	for z := -4.0; z <= 4; z += 0.25 {
+		k := math.Floor(5000 + z*s)
+		if d := math.Abs(exact.CDF(k) - approx.CDF(k)); d > 1/s {
+			t.Errorf("k=%v: exact %v vs normal %v (diff %v > 1/sqrt(lambda)=%v)",
+				k, exact.CDF(k), approx.CDF(k), d, 1/s)
+		}
+	}
+}

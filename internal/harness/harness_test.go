@@ -101,6 +101,32 @@ func TestFigure3SeriesShape(t *testing.T) {
 	}
 }
 
+// Suite-level guard on the Equation (14) outputs: for every kernel the
+// headline quantiles are strictly ordered and the Figure 3 CDF saturates
+// within six standard deviations of the mean. Both fail when the Poisson CDF
+// collapses to zero (as it did above lambda ~ 745): the quantiles then all
+// land on the bisection's upper bracket and the curve stays flat at 0.
+func TestSuiteQuantilesOrderedAndCDFSaturates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full framework run")
+	}
+	for _, b := range mibench.All() {
+		rep, err := Analyze(context.Background(), b.Name, 4)
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		e := rep.Estimate
+		p50, p95, p99 := e.Quantiles()
+		if !(p50 < p95 && p95 < p99) {
+			t.Errorf("%s: quantiles not increasing: p50 %v, p95 %v, p99 %v", b.Name, p50, p95, p99)
+		}
+		at := e.MeanErrorRate() + 6*e.StdErrorRate()
+		if c := e.ErrorRateCDF(at); c < 0.99 {
+			t.Errorf("%s: CDF at mean + 6 sd (%.4f%%) is %v, want >= 0.99", b.Name, 100*at, c)
+		}
+	}
+}
+
 func TestSpecForDefaults(t *testing.T) {
 	b, err := mibench.ByName("bitcount")
 	if err != nil {
