@@ -25,12 +25,16 @@ fmt-check:
 
 # `make lint` runs the project-specific static analysis (DESIGN.md §9/§14):
 # the gofmt check, the tsperrlint pass suite over every package including
-# test files, the structural lint over every generated pipeline netlist, and
-# the suppression-budget ratchet (lint.budget: directive counts only go down).
+# test files, the structural lint over every generated pipeline netlist, the
+# suppression-budget ratchet (lint.budget: directive counts only go down),
+# and a vet + test of the separate perfbench module, which imports the
+# server and harness packages and so breaks when they change shape.
 lint: fmt-check
 	$(GO) run ./cmd/tsperrlint -tests ./...
 	$(GO) run ./cmd/tsperrlint -netlist
 	$(GO) run ./cmd/tsperrlint -ignores -budget lint.budget ./... >/dev/null
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # `make lint-fix-check` asserts the tree is triage-clean: all seven
 # analyzers report nothing (no outstanding fix-ups) and the suppression

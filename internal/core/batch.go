@@ -55,10 +55,6 @@ type BatchOpts struct {
 	// known (computation finished, reused, or failed), in suite order. It is
 	// called synchronously from the batch loop.
 	OnResult func(BatchItemResult)
-	// StopOnError aborts the batch at the first failing item; the remaining
-	// items carry that item's error context. Default is to keep going so one
-	// bad benchmark does not sink a 30-entry sweep.
-	StopOnError bool
 }
 
 // BatchResult is the outcome of a suite.
@@ -80,9 +76,10 @@ type BatchResult struct {
 // marginal solves, sharded Monte Carlo chunks) already fan out over the
 // bounded worker pool, so batch-level parallelism would only oversubscribe
 // it. Identical items (equal Key()) are computed once and fanned out, which
-// is what makes a suite of near-duplicate sweep points cheap. Cancellation
-// stops between items; completed results are kept and the remaining items
-// carry the context error.
+// is what makes a suite of near-duplicate sweep points cheap. A failing item
+// does not stop the suite, so one bad benchmark cannot sink a 30-entry sweep.
+// Cancellation stops between items; completed results are kept and the
+// remaining items carry the context error.
 func (f *Framework) EstimateBatch(ctx context.Context, items []BatchItem, opts BatchOpts) (*BatchResult, error) {
 	if len(items) == 0 {
 		return nil, fmt.Errorf("core: empty batch")
@@ -124,14 +121,6 @@ func (f *Framework) EstimateBatch(ctx context.Context, items []BatchItem, opts B
 		res.Computed++
 		byKey[r.Key] = i
 		emit(r)
-		if err != nil && opts.StopOnError {
-			for j := i + 1; j < len(items); j++ {
-				rr := BatchItemResult{Index: j, Name: items[j].Name, Key: items[j].Key(),
-					Err: fmt.Errorf("core: batch stopped by item %d (%s): %w", i, it.Name, err)}
-				emit(rr)
-			}
-			break
-		}
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil

@@ -152,14 +152,6 @@ func TestBatchErrorHandling(t *testing.T) {
 		t.Errorf("failed = %d", batch.Failed)
 	}
 
-	stopped, err := f.EstimateBatch(context.Background(), items, BatchOpts{StopOnError: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stopped.Items[1].Err == nil {
-		t.Error("StopOnError should mark the remaining items failed")
-	}
-
 	if _, err := f.EstimateBatch(context.Background(), nil, BatchOpts{}); err == nil {
 		t.Error("empty batch should error")
 	}

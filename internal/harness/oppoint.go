@@ -123,12 +123,22 @@ func buildAtCondition(cond cell.OperatingCondition, enabled bool, dir string) (*
 
 // AnalyzeAtPoint analyzes one benchmark at an explicit operating point:
 // a (voltage, temperature) condition and a frequency ratio (0 means the
-// design's configured working ratio). Points matching the shared
+// design's configured working ratio). A zero voltage or temperature means
+// the shared framework's configured condition (SetOperatingCondition), not
+// nominal, so a ratio-only override on an off-nominal daemon stays at the
+// daemon's voltage and temperature. Points matching the shared
 // framework's condition and the default ratio delegate to the plain
 // AnalyzeWithOpts path — bit-identical reports, full concurrency; all other
 // points run serialized on that condition's registry framework with the
 // machine re-targeted for the call and restored after it.
 func AnalyzeAtPoint(ctx context.Context, name string, scenarios int, opts core.AnalyzeOpts, cond cell.OperatingCondition, ratio float64) (*core.Report, error) {
+	shared := OperatingCondition()
+	if cond.VoltageV == 0 {
+		cond.VoltageV = shared.VoltageV
+	}
+	if cond.TempC == 0 {
+		cond.TempC = shared.TempC
+	}
 	if err := cond.Validate(); err != nil {
 		return nil, err
 	}
@@ -138,7 +148,7 @@ func AnalyzeAtPoint(ctx context.Context, name string, scenarios int, opts core.A
 	defaultRatio := errormodel.DefaultOptions().WorkingRatio
 	atDefaultRatio := ratio == 0 ||
 		math.Float64bits(ratio) == math.Float64bits(defaultRatio)
-	if cond.Equal(OperatingCondition()) && atDefaultRatio {
+	if cond.Equal(shared) && atDefaultRatio {
 		return AnalyzeWithOpts(ctx, name, scenarios, opts)
 	}
 	b, err := mibench.ByName(name)

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"testing"
 
@@ -158,5 +159,60 @@ func TestAnalyzeAtPointDroopRaisesErrorRate(t *testing.T) {
 	condMu.Unlock()
 	if !same {
 		t.Error("second analysis at the same condition rebuilt the registry entry")
+	}
+}
+
+// TestAnalyzeAtPointResolvesZeroFieldsAgainstSharedCondition pins the
+// override contract: a zero voltage or temperature means the daemon's
+// configured condition, not nominal. On a daemon set to 1.05 V, a ratio-only
+// override must build its framework at 1.05 V/25 C, a temperature-only
+// override at 1.05 V, and no registry entry may appear at nominal voltage.
+func TestAnalyzeAtPointResolvesZeroFieldsAgainstSharedCondition(t *testing.T) {
+	swapBuildHooks(t)
+	fwMu.Lock()
+	savedCond, savedEnabled := sharedCond, cacheEnabled
+	sharedCond, cacheEnabled = cell.OperatingCondition{VoltageV: 1.05}, false
+	fwMu.Unlock()
+	condMu.Lock()
+	savedFWs, savedLRU := condFWs, condLRU
+	condFWs, condLRU = nil, nil
+	condMu.Unlock()
+	t.Cleanup(func() {
+		fwMu.Lock()
+		sharedCond, cacheEnabled = savedCond, savedEnabled
+		fwMu.Unlock()
+		condMu.Lock()
+		condFWs, condLRU = savedFWs, savedLRU
+		condMu.Unlock()
+	})
+
+	var built []cell.OperatingCondition
+	buildFramework = func(o errormodel.Options) (*core.Framework, error) {
+		built = append(built, o.Cond)
+		return nil, errors.New("build recorded")
+	}
+	for _, tc := range []struct {
+		name  string
+		cond  cell.OperatingCondition
+		ratio float64
+		want  cell.OperatingCondition
+	}{
+		{"ratio only", cell.OperatingCondition{}, 1.2, cell.OperatingCondition{VoltageV: 1.05}},
+		{"temperature only", cell.OperatingCondition{TempC: 85}, 1.2, cell.OperatingCondition{VoltageV: 1.05, TempC: 85}},
+		{"no override", cell.OperatingCondition{}, 0, cell.OperatingCondition{VoltageV: 1.05}},
+	} {
+		built = nil
+		if _, err := AnalyzeAtPoint(context.Background(), "patricia", 2, core.AnalyzeOpts{}, tc.cond, tc.ratio); err == nil {
+			t.Fatalf("%s: the recording build hook should fail the analysis", tc.name)
+		}
+		if len(built) != 1 || !built[0].Equal(tc.want) {
+			t.Errorf("%s: built at %v, want one build at %s", tc.name, built, tc.want)
+		}
+	}
+	condMu.Lock()
+	_, nominal := condFWs[cell.Nominal().String()]
+	condMu.Unlock()
+	if nominal {
+		t.Error("an override on a 1.05 V daemon created a nominal-voltage registry entry")
 	}
 }

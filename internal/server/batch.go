@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -33,8 +34,9 @@ type BatchRequest struct {
 // freed worker never idles noticeably.
 const batchPollInterval = 20 * time.Millisecond
 
-// batchEntry is one suite entry's lifecycle. Fields are guarded by the
-// server's mu except key and benchmark, which are immutable after creation.
+// batchEntry is one suite entry's lifecycle; its consumer (see handleBatch)
+// joins it to a flight. Fields are guarded by the server's mu except key and
+// benchmark, which are immutable after creation.
 type batchEntry struct {
 	benchmark string
 	key       string
@@ -44,7 +46,7 @@ type batchEntry struct {
 	// dedup marks an entry that shared another computation (within the batch
 	// or with outside traffic); cached marks an LRU hit; guarded by mu.
 	dedup  bool
-	cached bool
+	cached bool         // guarded by mu
 	rep    *core.Report // guarded by mu
 	errMsg string       // guarded by mu
 }
@@ -58,6 +60,9 @@ type batch struct {
 	// finished when it reaches zero; guarded by mu.
 	remaining int
 }
+
+// errDraining finishes the entries a draining server never admitted.
+var errDraining = errors.New("server draining")
 
 // parseBatchRequest decodes and validates a whole suite upfront, so a batch
 // is accepted or rejected atomically — no half-admitted suites.
@@ -113,14 +118,37 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		entries:   make([]*batchEntry, len(reqs)),
 		remaining: len(reqs),
 	}
+	// Each entry's consumer records its admission, then its terminal state,
+	// both under mu (see consumer); the last one to land closes out the
+	// batch.
+	cons := make([]*consumer, len(reqs))
 	for i, req := range reqs {
-		b.entries[i] = &batchEntry{
-			benchmark: req.Benchmark,
-			key:       req.Key(s.cfg.Fingerprint),
-			status:    "pending",
+		e := &batchEntry{benchmark: req.Benchmark, key: req.Key(s.cfg.Fingerprint), status: "pending"}
+		b.entries[i] = e
+		cons[i] = &consumer{
+			joined: func(o joinOutcome) {
+				e.status, e.dedup, e.cached = "running", o != joinCreated, o == joinCacheHit
+			},
+			done: func(rep *core.Report, err error) {
+				switch {
+				case errors.Is(err, errDraining):
+					e.status, e.errMsg = "rejected", err.Error()
+				case err != nil:
+					e.status, e.errMsg = "failed", err.Error()
+				default:
+					e.status, e.rep = "done", rep
+				}
+				if b.remaining--; b.remaining == 0 {
+					s.met.batchesFinished.Add(1)
+					s.met.batchLatency.observe(time.Since(b.created).Seconds())
+				}
+			},
 		}
 	}
-	if !s.storeBatch(b) {
+	s.mu.Lock()
+	stored := !s.closed && s.batches.add(b.id, b, func(old *batch) bool { return old.remaining == 0 })
+	s.mu.Unlock()
+	if !stored {
 		s.met.queueRejects.Add(1)
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "batch store full, retry later"})
 		return
@@ -129,7 +157,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// The pacer owns the suite from here; the response only acknowledges
 	// admission. It runs under the server lifecycle, not the HTTP request —
 	// a batch is not cancelled by its submitter disconnecting.
-	go s.runBatch(b, reqs)
+	go s.runBatch(b, reqs, cons)
 	writeJSON(w, http.StatusAccepted, batchAcceptedResponse{
 		BatchID:   b.id,
 		Scenarios: len(reqs),
@@ -137,69 +165,30 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// storeBatch retains a batch, evicting the oldest finished batch when over
-// the retention cap; it refuses when every retained batch is still running.
-func (s *Server) storeBatch(b *batch) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	if len(s.batches) >= s.cfg.BatchRetention {
-		evicted := false
-		for i, id := range s.batchOrder {
-			if old, ok := s.batches[id]; ok && old.remaining == 0 {
-				delete(s.batches, id)
-				s.batchOrder = append(s.batchOrder[:i], s.batchOrder[i+1:]...)
-				evicted = true
+// runBatch is the pacer: it joins the suite's entries to the flight table
+// in order as detached consumers, retrying entries the bounded queue
+// rejects until capacity frees up (that is the backpressure inheritance —
+// the batch waits, it does not 503), and marking everything after the drain
+// point rejected once the server starts closing. An admitted entry pins its
+// computation and is finished when the flight retires, so a long head entry
+// never blocks dedup joins or completions further down the suite.
+func (s *Server) runBatch(b *batch, reqs []*Request, cons []*consumer) {
+	for i, req := range reqs {
+		for {
+			if _, _, outcome := s.join(req, b.entries[i].key, cons[i]); outcome != joinRejected {
 				break
 			}
-		}
-		if !evicted {
-			return false
-		}
-	}
-	s.batches[b.id] = b
-	s.batchOrder = append(s.batchOrder, b.id)
-	return true
-}
-
-// runBatch is the pacer: it feeds the suite's entries through the join path
-// in order, retrying entries the bounded queue rejects until capacity frees
-// up (that is the backpressure inheritance — the batch waits, it does not
-// 503), and marking everything after the drain point rejected once the
-// server starts closing. Entry results land asynchronously via finishEntry,
-// so a long head entry never blocks dedup joins or completions further down
-// the suite.
-func (s *Server) runBatch(b *batch, reqs []*Request) {
-	for i, req := range reqs {
-		e := b.entries[i]
-		for {
-			rep, f, outcome := s.join(req, e.key, nil)
-			switch outcome {
-			case joinCacheHit:
-				s.finishEntry(b, e, rep, nil, true, true)
-			case joinCreated:
-				s.setEntryStatus(e, "running", false)
-				go s.awaitEntry(b, e, f, false)
-			case joinJoined:
-				s.setEntryStatus(e, "running", true)
-				go s.awaitEntry(b, e, f, true)
-			case joinRejected:
-				if s.draining() {
-					s.rejectEntries(b, i)
-					return
-				}
-				// Queue full: wait for capacity, then re-offer this entry.
-				select {
-				case <-time.After(batchPollInterval):
-					continue
-				case <-s.lifeCtx.Done():
-					s.rejectEntries(b, i)
-					return
-				}
+			if s.draining() {
+				s.rejectEntries(cons[i:])
+				return
 			}
-			break
+			// Queue full: wait for capacity, then re-offer this entry.
+			select {
+			case <-time.After(batchPollInterval):
+			case <-s.lifeCtx.Done():
+				s.rejectEntries(cons[i:])
+				return
+			}
 		}
 	}
 }
@@ -210,61 +199,13 @@ func (s *Server) draining() bool {
 	return s.closed
 }
 
-func (s *Server) setEntryStatus(e *batchEntry, status string, dedup bool) {
+// rejectEntries finishes the consumers of entries the server began draining
+// before they were admitted: those entries end "rejected".
+func (s *Server) rejectEntries(cons []*consumer) {
 	s.mu.Lock()
-	e.status = status
-	e.dedup = dedup
-	s.mu.Unlock()
-}
-
-// awaitEntry records one entry's result when its flight lands. The entry
-// holds a sync-waiter reference on the flight (taken at join), so an
-// admitted batch entry pins its computation the way async jobs do: it always
-// runs to completion, drain included.
-func (s *Server) awaitEntry(b *batch, e *batchEntry, f *flight, dedup bool) {
-	<-f.done
-	s.leave(e.key, f)
-	s.finishEntry(b, e, f.rep, f.err, false, dedup)
-}
-
-// rejectEntries marks entries [from, end) terminally rejected — the server
-// began draining before they were admitted.
-func (s *Server) rejectEntries(b *batch, from int) {
-	s.mu.Lock()
-	for _, e := range b.entries[from:] {
-		if e.status == "pending" {
-			e.status = "rejected"
-			e.errMsg = "server draining"
-			b.remaining--
-		}
-	}
-	done := b.remaining == 0
-	s.mu.Unlock()
-	if done {
-		s.met.batchesFinished.Add(1)
-		s.met.batchLatency.observe(time.Since(b.created))
-	}
-}
-
-// finishEntry moves one entry to a terminal state and, when it is the last,
-// closes out the batch (latency histogram).
-func (s *Server) finishEntry(b *batch, e *batchEntry, rep *core.Report, err error, cached, dedup bool) {
-	s.mu.Lock()
-	e.cached = cached
-	e.dedup = dedup
-	if err != nil {
-		e.status = "failed"
-		e.errMsg = err.Error()
-	} else {
-		e.status = "done"
-		e.rep = rep
-	}
-	b.remaining--
-	done := b.remaining == 0
-	s.mu.Unlock()
-	if done {
-		s.met.batchesFinished.Add(1)
-		s.met.batchLatency.observe(time.Since(b.created))
+	defer s.mu.Unlock()
+	for _, c := range cons {
+		c.done(nil, errDraining)
 	}
 }
 
@@ -295,7 +236,7 @@ func (s *Server) handleBatchGet(w http.ResponseWriter, r *http.Request) {
 	s.met.batchGetRequests.Add(1)
 	id := r.PathValue("id")
 	s.mu.Lock()
-	b, ok := s.batches[id]
+	b, ok := s.batches.items[id]
 	var resp batchResponse
 	if ok {
 		resp = batchResponse{BatchID: b.id, Status: "done", Scenarios: make([]batchEntryResponse, len(b.entries))}

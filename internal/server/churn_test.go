@@ -134,13 +134,13 @@ func TestChurnFlightTableAndCache(t *testing.T) {
 	if got, want := int64(m["tsperrd_panics_total"]), panicCalls.Load(); got != want {
 		t.Errorf("panics metric %v != injected panics %v (double or dropped retire)", got, want)
 	}
-	if int(m["tsperrd_inflight"]) != 0 {
-		t.Errorf("inflight gauge %v after quiesce", m["tsperrd_inflight"])
+	if got, ok := m["tsperrd_inflight_computations"]; !ok || got != 0 {
+		t.Errorf("inflight gauge %v (present %v) after quiesce", got, ok)
 	}
 	s.mu.Lock()
 	cached := s.cache.len()
 	pending := 0
-	for _, j := range s.jobs {
+	for _, j := range s.jobs.items {
 		if j.status == "pending" {
 			pending++
 		}

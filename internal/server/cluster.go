@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 
@@ -42,33 +41,15 @@ type Cluster interface {
 func (s *Server) execute(ctx context.Context, req *Request, key string) (*core.Report, error) {
 	opts := req.analyzeOpts()
 	c := s.cfg.Cluster
-	if req.pointOverride() {
-		// An operating-point override runs through AnalyzeAt. Routing still
-		// applies (the overrides are part of the proxy body and the key, so
-		// the owner computes the identical result), but Monte Carlo fan-out
-		// does not: peers rebuild chunk specs at their default point, so an
-		// override's trials stay local.
-		if c != nil && opts.MCTrials == 0 && !req.forwarded {
-			if addr := c.Route(key); addr != "" {
-				if body, err := json.Marshal(req.proxyBody()); err == nil {
-					if rep, err := c.ProxyEstimate(ctx, addr, body); err == nil {
-						return rep, nil
-					}
-				}
-			}
-		}
-		return s.cfg.AnalyzeAt(ctx, req.Benchmark, req.Scenarios, opts, req.cond(), req.FreqRatio)
-	}
-	if c == nil {
-		return s.cfg.Analyze(ctx, req.Benchmark, req.Scenarios, opts)
-	}
-	if opts.MCTrials > 0 {
-		// The analytic phase runs locally (it needs the warm framework
-		// anyway); only the trial budget leaves the node.
+	// An operating-point override still routes (the overrides are part of the
+	// proxy body and the key, so the owner computes the identical result), but
+	// its Monte Carlo trials stay local: peers rebuild chunk specs at their
+	// default point. A plain validation runs its analytic phase locally (it
+	// needs the warm framework anyway) and fans only the trial budget out.
+	if c != nil && opts.MCTrials > 0 && !req.pointOverride() {
 		opts.MCRun = c.MCRun
-		return s.cfg.Analyze(ctx, req.Benchmark, req.Scenarios, opts)
 	}
-	if !req.forwarded {
+	if c != nil && opts.MCTrials == 0 && !req.forwarded {
 		if addr := c.Route(key); addr != "" {
 			if body, err := json.Marshal(req.proxyBody()); err == nil {
 				if rep, err := c.ProxyEstimate(ctx, addr, body); err == nil {
@@ -78,6 +59,9 @@ func (s *Server) execute(ctx context.Context, req *Request, key string) (*core.R
 				// execution answers the request regardless.
 			}
 		}
+	}
+	if req.pointOverride() {
+		return s.cfg.AnalyzeAt(ctx, req.Benchmark, req.Scenarios, opts, req.cond(), req.FreqRatio)
 	}
 	return s.cfg.Analyze(ctx, req.Benchmark, req.Scenarios, opts)
 }
@@ -109,21 +93,13 @@ func (s *Server) handleClusterChunk(w http.ResponseWriter, r *http.Request) {
 	}
 	spec, err := s.cfg.ChunkSource(r.Context(), creq.Benchmark, creq.Scenarios)
 	if err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			code = http.StatusServiceUnavailable
-		}
-		writeJSON(w, code, errorResponse{Error: err.Error()})
+		writeJSON(w, errStatus(err, http.StatusBadRequest), errorResponse{Error: err.Error()})
 		return
 	}
 	spec.Trials, spec.Seed = creq.Trials, creq.Seed
 	res, err := montecarlo.RunChunk(r.Context(), spec, creq.ChunkSize, creq.Index)
 	if err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			code = http.StatusServiceUnavailable
-		}
-		writeJSON(w, code, errorResponse{Error: err.Error()})
+		writeJSON(w, errStatus(err, http.StatusBadRequest), errorResponse{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, res)

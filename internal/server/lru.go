@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"slices"
 
 	"tsperr/internal/core"
 )
@@ -58,3 +59,39 @@ func (c *lru) add(key string, rep *core.Report) {
 
 // len reports the number of cached results (the /metrics gauge).
 func (c *lru) len() int { return c.order.Len() }
+
+// retained is a capped store of async jobs or batches: adding to a full
+// store evicts the oldest finished item, or refuses when every item is
+// still unfinished — store backpressure. Like lru it is accessed only
+// under the server's mu.
+type retained[T any] struct {
+	limit int
+	items map[string]T
+	order []string // insertion order, oldest first
+}
+
+func newRetained[T any](limit int) *retained[T] {
+	return &retained[T]{limit: limit, items: make(map[string]T)}
+}
+
+// add stores v under id, reporting false when the store is full and no
+// item satisfies finished.
+func (r *retained[T]) add(id string, v T, finished func(T) bool) bool {
+	if len(r.items) >= r.limit {
+		i := slices.IndexFunc(r.order, func(id string) bool { return finished(r.items[id]) })
+		if i < 0 {
+			return false
+		}
+		delete(r.items, r.order[i])
+		r.order = slices.Delete(r.order, i, i+1)
+	}
+	r.items[id] = v
+	r.order = append(r.order, id)
+	return true
+}
+
+// remove drops an item that never got a computation (queue rejection).
+func (r *retained[T]) remove(id string) {
+	delete(r.items, id)
+	r.order = slices.DeleteFunc(r.order, func(o string) bool { return o == id })
+}

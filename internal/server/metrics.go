@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"io"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -52,36 +53,67 @@ type metrics struct {
 	// histogram (surrogate.go); rendered only when a surrogate is attached.
 	surrogateMetrics
 
-	latency histogram
-	// batchLatency measures whole-suite wall time, admission to last entry.
-	batchLatency histogram
+	// latency measures estimate requests and batchLatency whole suites,
+	// admission to last entry, both in seconds.
+	latency      *histogram
+	batchLatency *histogram
+}
+
+func newMetrics() *metrics {
+	m := &metrics{
+		latency:      newHistogram(latencyBounds, 1e6),
+		batchLatency: newHistogram(latencyBounds, 1e6),
+	}
+	m.surrogateResidual = newHistogram(residualBounds, 1000)
+	return m
 }
 
 // latencyBounds are the histogram bucket upper bounds in seconds. The low
 // end resolves warm cache hits (microseconds – milliseconds); the high end
 // covers cold full-framework computations.
-var latencyBounds = [...]float64{
+var latencyBounds = []float64{
 	0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
 }
 
-// histogram is a fixed-bucket cumulative latency histogram; the final
+// histogram is a fixed-bucket cumulative histogram over bounds; the final
 // implicit bucket is +Inf.
 type histogram struct {
-	buckets [len(latencyBounds) + 1]atomic.Uint64
+	bounds  []float64
+	buckets []atomic.Uint64
 	count   atomic.Uint64
-	sumUS   atomic.Uint64 // sum in microseconds, so the atomic stays integral
+	// sum accumulates observations in units of 1/scale, so the atomic stays
+	// integral (scale 1e6: microseconds of a value in seconds).
+	sum   atomic.Uint64
+	scale float64
 }
 
-// observe records one request duration.
-func (h *histogram) observe(d time.Duration) {
-	s := d.Seconds()
+func newHistogram(bounds []float64, scale float64) *histogram {
+	return &histogram{bounds: bounds, buckets: make([]atomic.Uint64, len(bounds)+1), scale: scale}
+}
+
+// observe records one value.
+func (h *histogram) observe(v float64) {
 	i := 0
-	for i < len(latencyBounds) && s > latencyBounds[i] {
+	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
 	h.buckets[i].Add(1)
 	h.count.Add(1)
-	h.sumUS.Add(uint64(d.Microseconds()))
+	h.sum.Add(uint64(math.Round(v * h.scale)))
+}
+
+// render writes the cumulative exposition.
+func (h *histogram) render(w io.Writer, name, help string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+	var cum uint64
+	for i, b := range h.bounds {
+		cum += h.buckets[i].Load()
+		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, b, cum)
+	}
+	cum += h.buckets[len(h.bounds)].Load()
+	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
+	fmt.Fprintf(w, "%s_sum %g\n", name, float64(h.sum.Load())/h.scale)
+	fmt.Fprintf(w, "%s_count %d\n", name, h.count.Load())
 }
 
 // gauges are the point-in-time values the server samples under its mu just
@@ -202,24 +234,10 @@ func (m *metrics) render(w io.Writer, g gauges) {
 		gauge("tsperrd_surrogate_model_version", "Version of the surrogate model currently answering.", float64(sg.stats.ModelVersion))
 		gauge("tsperrd_surrogate_train_size", "Observations the current surrogate model was fitted on.", float64(sg.stats.TrainSize))
 		gauge("tsperrd_surrogate_buffer_size", "Observations in the surrogate training buffer.", float64(sg.stats.Buffered))
-		renderResidualHistogram(w, "tsperrd_surrogate_residual_log10",
-			"Shadow-mode |predicted - actual| log10 error of the surrogate against exact results.", &m.surrogateResidual)
+		m.surrogateResidual.render(w, "tsperrd_surrogate_residual_log10",
+			"Shadow-mode |predicted - actual| log10 error of the surrogate against exact results.")
 	}
 
-	renderHistogram(w, "tsperrd_request_seconds", "Estimate-request latency.", &m.latency)
-	renderHistogram(w, "tsperrd_batch_seconds", "Batch-suite latency, admission to last entry.", &m.batchLatency)
-}
-
-// renderHistogram writes one cumulative fixed-bucket histogram.
-func renderHistogram(w io.Writer, name, help string, h *histogram) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	var cum uint64
-	for i, b := range latencyBounds {
-		cum += h.buckets[i].Load()
-		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, b, cum)
-	}
-	cum += h.buckets[len(latencyBounds)].Load()
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %g\n", name, float64(h.sumUS.Load())/1e6)
-	fmt.Fprintf(w, "%s_count %d\n", name, h.count.Load())
+	m.latency.render(w, "tsperrd_request_seconds", "Estimate-request latency.")
+	m.batchLatency.render(w, "tsperrd_batch_seconds", "Batch-suite latency, admission to last entry.")
 }

@@ -181,35 +181,6 @@ func (q *OppointRequest) conditions() []cell.OperatingCondition {
 	return out
 }
 
-// errOppointQueueFull signals backpressure from a sub-request's join.
-var errOppointQueueFull = errors.New("compute queue full, retry later")
-
-// oppointSub pushes one bisection probe through the estimate join machinery
-// and waits for its report; cached says whether the LRU answered directly.
-func (s *Server) oppointSub(ctx context.Context, sub *Request) (rep *core.Report, cached bool, err error) {
-	s.met.oppointSubrequests.Add(1)
-	key := sub.Key(s.cfg.Fingerprint)
-	rep, f, outcome := s.join(sub, key, nil)
-	switch outcome {
-	case joinCacheHit:
-		s.met.oppointSubrequestCacheHits.Add(1)
-		return rep, true, nil
-	case joinRejected:
-		return nil, false, errOppointQueueFull
-	}
-	select {
-	case <-f.done:
-	case <-ctx.Done():
-		s.leave(key, f)
-		return nil, false, ctx.Err()
-	}
-	s.leave(key, f)
-	if f.err != nil {
-		return nil, false, f.err
-	}
-	return f.rep, false, nil
-}
-
 func (s *Server) handleOppoint(w http.ResponseWriter, r *http.Request) {
 	s.met.oppointRequests.Add(1)
 	if !s.ready() {
@@ -256,23 +227,21 @@ func (s *Server) handleOppoint(w http.ResponseWriter, r *http.Request) {
 				VoltageV:  cond.VoltageV,
 				TempC:     cond.TempC,
 			}
-			rep, cached, err := s.oppointSub(ctx, sub)
+			s.met.oppointSubrequests.Add(1)
+			rep, outcome, err := s.await(ctx, sub, sub.Key(s.cfg.Fingerprint))
 			if err != nil {
 				return nil, err
 			}
 			resp.Subrequests++
-			if cached {
+			if outcome == joinCacheHit {
+				s.met.oppointSubrequestCacheHits.Add(1)
 				resp.CacheHits++
 			}
 			return rep, nil
 		}
 		res, err := core.SearchOperatingPoint(ctx, q.MinRatio, q.MaxRatio, q.Steps, q.TargetErrorRate, baseFreq, analyze)
 		if err != nil {
-			code := http.StatusInternalServerError
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, errOppointQueueFull) {
-				code = http.StatusServiceUnavailable
-			}
-			writeJSON(w, code, errorResponse{Error: fmt.Sprintf("search at %s: %v", cond, err)})
+			writeJSON(w, errStatus(err, http.StatusInternalServerError), errorResponse{Error: fmt.Sprintf("search at %s: %v", cond, err)})
 			return
 		}
 		if !res.Feasible {

@@ -172,8 +172,9 @@ const (
 	maxFreqRatio = 2.0
 )
 
-// cond returns the request's operating-condition override; the zero value
-// (no override) normalizes to the nominal condition inside internal/cell.
+// cond returns the request's operating-condition override. Zero fields mean
+// the daemon's configured condition; AnalyzeAt resolves them (the daemon
+// wires harness.AnalyzeAtPoint).
 func (q *Request) cond() cell.OperatingCondition {
 	return cell.OperatingCondition{VoltageV: q.VoltageV, TempC: q.TempC}
 }

@@ -25,9 +25,9 @@ import (
 type AnalyzeFunc func(ctx context.Context, benchmark string, scenarios int, opts core.AnalyzeOpts) (*core.Report, error)
 
 // AnalyzeAtFunc runs one estimation at an explicit operating point: a
-// (voltage, temperature) condition plus a frequency ratio (0 = the design's
-// working ratio). The daemon wires harness.AnalyzeAtPoint; tests substitute
-// fakes.
+// (voltage, temperature) condition (zero fields = the daemon's configured
+// condition) plus a frequency ratio (0 = the design's working ratio). The
+// daemon wires harness.AnalyzeAtPoint; tests substitute fakes.
 type AnalyzeAtFunc func(ctx context.Context, benchmark string, scenarios int, opts core.AnalyzeOpts, cond cell.OperatingCondition, ratio float64) (*core.Report, error)
 
 // Config assembles a Server. Zero fields select the documented defaults.
@@ -83,9 +83,10 @@ type Config struct {
 // flight is one deduplicated computation. The first request for a key
 // creates it and submits the job; identical concurrent requests join it.
 // Sync waiters hold references: when the last one leaves (client
-// disconnect), the flight context is cancelled so the pipeline stops doing
-// unobserved work. Async jobs ride the flight without a revocable
-// reference — an accepted job always runs to completion.
+// disconnect) and no detached consumer is attached, the flight context is
+// cancelled so the pipeline stops doing unobserved work. Detached consumers
+// (async jobs, batch entries) cannot leave: an accepted one always runs to
+// completion.
 type flight struct {
 	cancel context.CancelFunc
 	// done is closed after rep and err are set; waiters read them only
@@ -96,22 +97,28 @@ type flight struct {
 
 	// refs counts sync waiters; guarded by mu (the server's).
 	refs int
-	// hasJob marks an attached async job, which pins the flight even with
-	// zero sync waiters; guarded by mu.
-	hasJob bool
-	// jobs are the async jobs to finish on completion; guarded by mu.
-	jobs []*job
+	// detached are the consumers to finish on completion; any of them pins
+	// the flight; guarded by mu.
+	detached []*consumer
+}
+
+// consumer is a detached consumer of a flight: an async job or a batch
+// entry. join runs its hooks under mu: joined (when set) with the outcome
+// inside the join's critical section, then done with the result inside the
+// critical section that retires the flight (at once, on a cache hit).
+type consumer struct {
+	joined func(o joinOutcome)
+	done   func(rep *core.Report, err error)
 }
 
 // job is one async estimation, addressable via GET /v1/jobs/{id}.
 type job struct {
-	id      string
-	created time.Time
+	id string
 	// status is "pending", "done", or "failed"; guarded by mu (the
 	// server's), as are rep and errMsg.
 	status string
-	rep    *core.Report
-	errMsg string
+	rep    *core.Report // guarded by mu
+	errMsg string       // guarded by mu
 }
 
 // Server is the estimation service: admission (validation + canonical
@@ -136,13 +143,10 @@ type Server struct {
 	flights map[string]*flight
 	// cache is the LRU result cache; guarded by mu.
 	cache *lru
-	// jobs and jobOrder (insertion order, for retention eviction) hold the
-	// async job store; guarded by mu.
-	jobs     map[string]*job
-	jobOrder []string
-	// batches and batchOrder hold the batch store; guarded by mu.
-	batches    map[string]*batch
-	batchOrder []string
+	// jobs is the async job store; guarded by mu.
+	jobs *retained[*job]
+	// batches is the batch store; guarded by mu.
+	batches *retained[*batch]
 	// closed marks the server as draining: no new computations; guarded by
 	// mu.
 	closed bool
@@ -197,14 +201,14 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	lifeCtx, lifeStop := context.WithCancel(ctx)
 	s := &Server{
 		cfg:      cfg,
-		met:      &metrics{},
+		met:      newMetrics(),
 		lifeCtx:  lifeCtx,
 		lifeStop: lifeStop,
 		start:    time.Now(),
 		flights:  make(map[string]*flight),
 		cache:    newLRU(cfg.CacheSize),
-		jobs:     make(map[string]*job),
-		batches:  make(map[string]*batch),
+		jobs:     newRetained[*job](cfg.JobRetention),
+		batches:  newRetained[*batch](cfg.BatchRetention),
 	}
 	s.queue = pool.NewQueue(lifeCtx, cfg.Workers, cfg.QueueDepth, func(*pool.PanicError) {
 		s.met.panics.Add(1)
@@ -313,32 +317,67 @@ const (
 	joinRejected                    // backpressure: queue full or draining
 )
 
+// errQueueFull is the backpressure answer: the compute queue is full or the
+// server is draining.
+var errQueueFull = errors.New("compute queue full, retry later")
+
+// errStatus maps a computation error to its HTTP status: cancellation,
+// deadline, and backpressure are retryable (503); anything else gets code.
+func errStatus(err error, code int) int {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, errQueueFull) {
+		return http.StatusServiceUnavailable
+	}
+	return code
+}
+
 // join is the dedup/cache core: under one critical section it consults the
 // result cache, then the flight table, and only then admits a new
-// computation to the bounded queue. j, when non-nil, is an async job to
-// attach to whatever flight the request lands on.
-func (s *Server) join(req *Request, key string, j *job) (*core.Report, *flight, joinOutcome) {
+// computation to the bounded queue. A nil c makes the caller a sync waiter,
+// which must release its reference with leave (await does both). A non-nil
+// c is a detached consumer: it pins whatever flight it lands on, and its
+// hooks run under mu (see consumer).
+func (s *Server) join(req *Request, key string, c *consumer) (*core.Report, *flight, joinOutcome) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if rep, ok := s.cache.get(key); ok {
 		s.met.cacheHits.Add(1)
+		if c != nil {
+			if c.joined != nil {
+				c.joined(joinCacheHit)
+			}
+			c.done(rep, nil)
+		}
 		return rep, nil, joinCacheHit
 	}
-	if f, ok := s.flights[key]; ok {
+	f, outcome := s.flights[key], joinJoined
+	if f != nil {
 		s.met.dedupJoins.Add(1)
-		if j != nil {
-			f.hasJob = true
-			f.jobs = append(f.jobs, j)
-		} else {
-			f.refs++
+	} else {
+		if !s.closed {
+			f = s.submit(req, key)
 		}
-		return nil, f, joinJoined
+		if f == nil {
+			s.met.queueRejects.Add(1)
+			return nil, nil, joinRejected
+		}
+		s.flights[key] = f
+		s.met.computations.Add(1)
+		outcome = joinCreated
 	}
-	if s.closed {
-		s.met.queueRejects.Add(1)
-		return nil, nil, joinRejected
+	if c == nil {
+		f.refs++
+		return nil, f, outcome
 	}
+	if c.joined != nil {
+		c.joined(outcome)
+	}
+	f.detached = append(f.detached, c)
+	return nil, f, outcome
+}
 
+// submit hands a new computation for key to the bounded queue and returns
+// its flight, or nil when the queue is full.
+func (s *Server) submit(req *Request, key string) *flight {
 	var fctx context.Context
 	var cancel context.CancelFunc
 	if d := req.timeout(s.cfg.DefaultTimeout, s.cfg.MaxTimeout); d > 0 {
@@ -347,12 +386,6 @@ func (s *Server) join(req *Request, key string, j *job) (*core.Report, *flight, 
 		fctx, cancel = context.WithCancel(s.lifeCtx)
 	}
 	f := &flight{cancel: cancel, done: make(chan struct{})}
-	if j != nil {
-		f.hasJob = true
-		f.jobs = []*job{j}
-	} else {
-		f.refs = 1
-	}
 	// Copy the request so the computation owns an immutable snapshot — the
 	// handler's *Request does not outlive the response.
 	reqCopy := *req
@@ -377,16 +410,13 @@ func (s *Server) join(req *Request, key string, j *job) (*core.Report, *flight, 
 	})
 	if !submitted {
 		cancel()
-		s.met.queueRejects.Add(1)
-		return nil, nil, joinRejected
+		return nil
 	}
-	s.flights[key] = f
-	s.met.computations.Add(1)
-	return nil, f, joinCreated
+	return f
 }
 
-// complete retires a flight: successful reports enter the cache, attached
-// async jobs are finalized, and waiters are released. Failures are not
+// complete retires a flight: successful reports enter the cache, detached
+// consumers are finished, and waiters are released. Failures are not
 // cached — the next identical request retries.
 func (s *Server) complete(key string, f *flight, rep *core.Report, err error) {
 	s.mu.Lock()
@@ -398,14 +428,8 @@ func (s *Server) complete(key string, f *flight, rep *core.Report, err error) {
 	} else {
 		s.met.failures.Add(1)
 	}
-	for _, j := range f.jobs {
-		if err == nil {
-			j.status = "done"
-			j.rep = rep
-		} else {
-			j.status = "failed"
-			j.errMsg = err.Error()
-		}
+	for _, c := range f.detached {
+		c.done(rep, err)
 	}
 	s.mu.Unlock()
 	f.rep, f.err = rep, err
@@ -414,18 +438,38 @@ func (s *Server) complete(key string, f *flight, rep *core.Report, err error) {
 }
 
 // leave drops one sync waiter's reference. When the last observer leaves an
-// unfinished flight with no attached async job, the computation is
+// unfinished flight with no detached consumer, the computation is
 // cancelled — nobody is left to read the result.
 func (s *Server) leave(key string, f *flight) {
 	s.mu.Lock()
 	abandoned := false
 	if cur, ok := s.flights[key]; ok && cur == f {
 		f.refs--
-		abandoned = f.refs <= 0 && !f.hasJob
+		abandoned = f.refs <= 0 && len(f.detached) == 0
 	}
 	s.mu.Unlock()
 	if abandoned {
 		f.cancel()
+	}
+}
+
+// await is the sync waiter's whole lifecycle: join, wait for the result or
+// for ctx, leave. A rejected join returns errQueueFull; a waiter whose ctx
+// ends first returns ctx.Err() and leaves the flight to its other consumers.
+func (s *Server) await(ctx context.Context, req *Request, key string) (*core.Report, joinOutcome, error) {
+	rep, f, outcome := s.join(req, key, nil)
+	switch outcome {
+	case joinCacheHit:
+		return rep, outcome, nil
+	case joinRejected:
+		return nil, outcome, errQueueFull
+	}
+	defer s.leave(key, f)
+	select {
+	case <-f.done:
+		return f.rep, outcome, f.err
+	case <-ctx.Done():
+		return nil, outcome, ctx.Err()
 	}
 }
 
@@ -461,123 +505,69 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.surrogateEligible(req) {
 		if rep := s.consultSurrogate(req, key); rep != nil {
-			s.met.latency.observe(time.Since(start))
+			s.met.latency.observe(time.Since(start).Seconds())
 			writeJSON(w, http.StatusOK, estimateResponse{Key: key, Tier: core.TierSurrogate, Report: rep})
 			return
 		}
 	}
 
-	rep, f, outcome := s.join(req, key, nil)
-	switch outcome {
-	case joinCacheHit:
-		s.met.latency.observe(time.Since(start))
-		writeJSON(w, http.StatusOK, estimateResponse{Key: key, Cached: true, Tier: core.TierExact, Report: rep})
+	rep, outcome, err := s.await(r.Context(), req, key)
+	switch {
+	case outcome == joinRejected:
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
 		return
-	case joinRejected:
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "compute queue full, retry later"})
-		return
-	}
-
-	select {
-	case <-f.done:
-	case <-r.Context().Done():
-		// The client hung up; release our reference so an otherwise
+	case err != nil && r.Context().Err() != nil:
+		// The client hung up; await released our reference, so an otherwise
 		// unobserved computation is cancelled instead of burning the pool.
-		s.leave(key, f)
 		s.met.clientCancels.Add(1)
 		return
 	}
-	s.leave(key, f)
-	s.met.latency.observe(time.Since(start))
-	if f.err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
-			code = http.StatusServiceUnavailable
-		}
-		writeJSON(w, code, errorResponse{Error: f.err.Error()})
+	s.met.latency.observe(time.Since(start).Seconds())
+	if err != nil {
+		writeJSON(w, errStatus(err, http.StatusInternalServerError), errorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, estimateResponse{Key: key, Cached: false, Tier: core.TierExact, Report: f.rep})
+	writeJSON(w, http.StatusOK, estimateResponse{Key: key, Cached: outcome == joinCacheHit, Tier: core.TierExact, Report: rep})
 }
 
-// handleEstimateAsync registers a job, attaches it to the flight (or
-// finishes it straight from the cache), and acknowledges with 202.
+// handleEstimateAsync stores a job, joins it to the flight as a detached
+// consumer (finished at once on a cache hit), and acknowledges with 202.
 func (s *Server) handleEstimateAsync(w http.ResponseWriter, req *Request, key string) {
-	j := &job{id: newJobID(), created: time.Now(), status: "pending"}
-	if !s.storeJob(j) {
+	j := &job{id: newID("job"), status: "pending"}
+	s.mu.Lock()
+	stored := !s.closed && s.jobs.add(j.id, j, func(old *job) bool { return old.status != "pending" })
+	s.mu.Unlock()
+	if !stored {
 		s.met.queueRejects.Add(1)
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "job store full, retry later"})
 		return
 	}
-	rep, _, outcome := s.join(req, key, j)
-	switch outcome {
-	case joinCacheHit:
+	c := &consumer{done: func(rep *core.Report, err error) {
+		if err != nil {
+			j.status, j.errMsg = "failed", err.Error()
+			return
+		}
+		j.status, j.rep = "done", rep
+	}}
+	if _, _, outcome := s.join(req, key, c); outcome == joinRejected {
 		s.mu.Lock()
-		j.status = "done"
-		j.rep = rep
+		s.jobs.remove(j.id)
 		s.mu.Unlock()
-	case joinRejected:
-		s.dropJob(j.id)
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "compute queue full, retry later"})
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: errQueueFull.Error()})
 		return
 	}
-	writeJSON(w, http.StatusAccepted, asyncResponse{JobID: j.id, Status: s.jobStatus(j)})
-}
-
-// jobStatus reads a job's status under mu (the job may have completed
-// between join and the acknowledgement write).
-func (s *Server) jobStatus(j *job) string {
+	// Read under mu: the job may have completed since the join.
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return j.status
-}
-
-// storeJob retains a job, evicting the oldest finished job when over the
-// retention cap; it refuses (false) when every retained job is still
-// pending — job-store backpressure.
-func (s *Server) storeJob(j *job) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	if len(s.jobs) >= s.cfg.JobRetention {
-		evicted := false
-		for i, id := range s.jobOrder {
-			if old, ok := s.jobs[id]; ok && old.status != "pending" {
-				delete(s.jobs, id)
-				s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			return false
-		}
-	}
-	s.jobs[j.id] = j
-	s.jobOrder = append(s.jobOrder, j.id)
-	return true
-}
-
-// dropJob removes a job that never got a computation (queue rejection).
-func (s *Server) dropJob(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.jobs, id)
-	for i, jid := range s.jobOrder {
-		if jid == id {
-			s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
-			break
-		}
-	}
+	status := j.status
+	s.mu.Unlock()
+	writeJSON(w, http.StatusAccepted, asyncResponse{JobID: j.id, Status: status})
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	s.met.jobRequests.Add(1)
 	id := r.PathValue("id")
 	s.mu.Lock()
-	j, ok := s.jobs[id]
+	j, ok := s.jobs.items[id]
 	var resp jobResponse
 	if ok {
 		resp = jobResponse{JobID: j.id, Status: j.status, Report: j.rep, Error: j.errMsg}
@@ -618,7 +608,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.met.metricsRequests.Add(1)
 	s.mu.Lock()
 	running := 0
-	for _, b := range s.batches {
+	for _, b := range s.batches.items {
 		if b.remaining > 0 {
 			running++
 		}
@@ -627,8 +617,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		queueDepth:       s.queue.Depth(),
 		inflight:         len(s.flights),
 		cacheEntries:     s.cache.len(),
-		jobsStored:       len(s.jobs),
-		batchesStored:    len(s.batches),
+		jobsStored:       len(s.jobs.items),
+		batchesStored:    len(s.batches.items),
 		batchesRunning:   running,
 		mcChunksInflight: montecarlo.InFlightChunks(),
 		ready:            s.ready(),
@@ -648,9 +638,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.met.render(w, g)
 }
-
-// newJobID returns a 16-hex-digit random job handle.
-func newJobID() string { return newID("job") }
 
 // newID returns a prefixed 16-hex-digit random handle.
 func newID(prefix string) string {

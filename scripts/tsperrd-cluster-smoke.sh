@@ -5,62 +5,26 @@
 # exactly once — stolen back locally or by the surviving worker), its
 # deterministic Monte Carlo section must be byte-identical to a single-node
 # run of the same request, and the coordinator must still drain cleanly.
-set -euo pipefail
-cd "$(dirname "$0")/.."
+SMOKE_NAME=cluster-smoke
+. "$(dirname "$0")/smoke-lib.sh"
 
 BASE="${TSPERRD_CLUSTER_PORT:-18331}"
 COORD="127.0.0.1:$BASE"
 WORKER_A="127.0.0.1:$((BASE + 1))"
 WORKER_B="127.0.0.1:$((BASE + 2))"
-WORKDIR="$(mktemp -d)"
-
-PIDS=()
-cleanup() {
-    for p in "${PIDS[@]:-}"; do kill -9 "$p" 2>/dev/null || true; done
-    rm -rf "$WORKDIR"
-}
-trap cleanup EXIT
-
-fail() {
-    echo "cluster-smoke: FAIL: $*" >&2
-    for log in coord worker-a worker-b; do
-        echo "--- $log log ---" >&2
-        cat "$WORKDIR/$log.log" >&2 || true
-    done
-    exit 1
-}
-
-wait_http() { # wait_http URL [tries]
-    local code="" tries="${2:-150}"
-    for _ in $(seq 1 "$tries"); do
-        code=$(curl -s -o /dev/null -w '%{http_code}' "$1" || true)
-        [ "$code" = 200 ] && return 0
-        sleep 0.2
-    done
-    return 1
-}
-
-go build -o "$WORKDIR/tsperrd" ./cmd/tsperrd
 
 # Worker A first: it trains the model and populates the shared cache, so the
 # other two nodes restore from disk instead of racing the training.
-"$WORKDIR/tsperrd" -listen "$WORKER_A" -role worker \
-    -model-cache-dir "$WORKDIR/cache" >"$WORKDIR/worker-a.log" 2>&1 &
-PIDS+=("$!")
-disown "$!"
+start_daemon worker-a "$WORKER_A" -role worker
+disown "$DAEMON_PID"
 wait_http "http://$WORKER_A/healthz" || fail "worker A never became healthy"
 
-"$WORKDIR/tsperrd" -listen "$WORKER_B" -role worker \
-    -model-cache-dir "$WORKDIR/cache" >"$WORKDIR/worker-b.log" 2>&1 &
-WORKER_B_PID="$!"
-PIDS+=("$WORKER_B_PID")
+start_daemon worker-b "$WORKER_B" -role worker
+WORKER_B_PID="$DAEMON_PID"
 disown "$WORKER_B_PID"
 
-"$WORKDIR/tsperrd" -listen "$COORD" -role coordinator \
-    -peers "http://$WORKER_A,http://$WORKER_B" \
-    -model-cache-dir "$WORKDIR/cache" >"$WORKDIR/coord.log" 2>&1 &
-COORD_PID="$!"
-PIDS+=("$COORD_PID")
+start_daemon coord "$COORD" -role coordinator -peers "http://$WORKER_A,http://$WORKER_B"
+COORD_PID="$DAEMON_PID"
 
 wait_http "http://$WORKER_B/healthz" || fail "worker B never became healthy"
 wait_http "http://$COORD/readyz" || fail "coordinator never became ready"
@@ -101,14 +65,11 @@ diff -u "$WORKDIR/ref.mc" "$WORKDIR/dist.mc" >/dev/null \
 
 # Every chunk was delivered exactly once, wherever it ran.
 chunks=$(grep -o '"chunks": [0-9]*' "$WORKDIR/dist.mc" | awk '{print $2}')
-metrics=$(curl -s "http://$COORD/metrics")
-remote=$(echo "$metrics" | awk '/^tsperrd_cluster_remote_chunks_total/ {print $2}')
-local_=$(echo "$metrics" | awk '/^tsperrd_cluster_local_chunks_total/ {print $2}')
+remote=$(metric "$COORD" tsperrd_cluster_remote_chunks_total)
+local_=$(metric "$COORD" tsperrd_cluster_local_chunks_total)
 [ "$((remote + local_))" = "$chunks" ] \
     || fail "delivered chunks $remote remote + $local_ local != $chunks total"
 
-kill -TERM "$COORD_PID"
-wait "$COORD_PID" || fail "coordinator exited non-zero after SIGTERM"
-grep -q "drained cleanly" "$WORKDIR/coord.log" || fail "coordinator missing clean-drain log line"
+drain "$COORD_PID" coord coordinator
 
 echo "cluster-smoke: OK ($chunks chunks: $remote remote + $local_ local; worker killed mid-run; montecarlo section byte-identical to single-node)"

@@ -4,39 +4,15 @@
 # the response carries a frontier and that a warm re-run answers every
 # bisection probe from the cache (sub-request dedup visible in /metrics),
 # then SIGTERM and require a clean drain.
-set -euo pipefail
-cd "$(dirname "$0")/.."
+SMOKE_NAME=oppoint-smoke
+. "$(dirname "$0")/smoke-lib.sh"
 
 PORT="${TSPERRD_PORT:-18325}"
 ADDR="127.0.0.1:$PORT"
-WORKDIR="$(mktemp -d)"
 
-PID=""
-cleanup() {
-    [ -n "$PID" ] && kill "$PID" 2>/dev/null || true
-    rm -rf "$WORKDIR"
-}
-trap cleanup EXIT
-
-fail() {
-    echo "oppoint-smoke: FAIL: $*" >&2
-    echo "--- daemon log ---" >&2
-    cat "$WORKDIR/tsperrd.log" >&2 || true
-    exit 1
-}
-
-go build -o "$WORKDIR/tsperrd" ./cmd/tsperrd
-"$WORKDIR/tsperrd" -listen "$ADDR" -model-cache-dir "$WORKDIR/cache" \
-    >"$WORKDIR/tsperrd.log" 2>&1 &
-PID=$!
-
-code=""
-for _ in $(seq 1 150); do
-    code=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/healthz" || true)
-    [ "$code" = 200 ] && break
-    sleep 0.2
-done
-[ "$code" = 200 ] || fail "daemon never became healthy (last /healthz: $code)"
+start_daemon daemon "$ADDR"
+PID=$DAEMON_PID
+wait_http "http://$ADDR/healthz" || fail "daemon never became healthy (last /healthz: $HTTP_CODE)"
 
 req='{"benchmark":"typeset","scenarios":2,"target_error_rate":0.02,
       "voltages":[1.1,1.05],"temps_c":[25,85],"min_ratio":1.0,"max_ratio":1.2,"steps":3}'
@@ -47,10 +23,8 @@ body=$(curl -sf -X POST "http://$ADDR/v1/oppoint" -d "$req") \
 echo "$body" | grep -q '"frontier"' || fail "response missing frontier: $body"
 echo "$body" | grep -q '"voltage": 1.05' || fail "grid condition missing from points: $body"
 
-subs_cold=$(curl -s "http://$ADDR/metrics" \
-    | awk '/^tsperrd_oppoint_subrequests_total/ {print $2}')
-hits_cold=$(curl -s "http://$ADDR/metrics" \
-    | awk '/^tsperrd_oppoint_subrequest_cache_hits_total/ {print $2}')
+subs_cold=$(metric "$ADDR" tsperrd_oppoint_subrequests_total)
+hits_cold=$(metric "$ADDR" tsperrd_oppoint_subrequest_cache_hits_total)
 [ -n "$subs_cold" ] && [ "$subs_cold" -gt 0 ] \
     || fail "no oppoint sub-requests counted: '$subs_cold'"
 
@@ -61,21 +35,15 @@ warm=$(curl -sf -X POST "http://$ADDR/v1/oppoint" -d "$req") \
 [ "$(echo "$body" | grep -c '"ratio"')" = "$(echo "$warm" | grep -c '"ratio"')" ] \
     || fail "warm re-run changed the point set"
 
-subs_warm=$(curl -s "http://$ADDR/metrics" \
-    | awk '/^tsperrd_oppoint_subrequests_total/ {print $2}')
-hits_warm=$(curl -s "http://$ADDR/metrics" \
-    | awk '/^tsperrd_oppoint_subrequest_cache_hits_total/ {print $2}')
+subs_warm=$(metric "$ADDR" tsperrd_oppoint_subrequests_total)
+hits_warm=$(metric "$ADDR" tsperrd_oppoint_subrequest_cache_hits_total)
 new_subs=$((subs_warm - subs_cold))
 new_hits=$((hits_warm - hits_cold))
 [ "$new_subs" -gt 0 ] || fail "warm run issued no sub-requests"
 [ "$new_hits" = "$new_subs" ] \
     || fail "warm run recomputed: $new_hits cache hits for $new_subs sub-requests"
 
-searches=$(curl -s "http://$ADDR/metrics" \
-    | awk '/^tsperrd_oppoint_searches_total/ {print $2}')
+searches=$(metric "$ADDR" tsperrd_oppoint_searches_total)
 
-kill -TERM "$PID"
-wait "$PID" || fail "daemon exited non-zero after SIGTERM"
-grep -q "drained cleanly" "$WORKDIR/tsperrd.log" || fail "missing clean-drain log line"
-PID=""
+drain "$PID" daemon
 echo "oppoint-smoke: OK ($searches per-condition searches; warm run $new_hits/$new_subs from cache; clean drain)"

@@ -3,39 +3,15 @@
 # budget, wait for the model to warm, run one sync estimate, fire a burst of
 # identical requests (dedup + cache must keep the computation count at one
 # per distinct request), then SIGTERM and require a clean drain.
-set -euo pipefail
-cd "$(dirname "$0")/.."
+SMOKE_NAME=smoke
+. "$(dirname "$0")/smoke-lib.sh"
 
 PORT="${TSPERRD_PORT:-18321}"
 ADDR="127.0.0.1:$PORT"
-WORKDIR="$(mktemp -d)"
 
-PID=""
-cleanup() {
-    [ -n "$PID" ] && kill "$PID" 2>/dev/null || true
-    rm -rf "$WORKDIR"
-}
-trap cleanup EXIT
-
-fail() {
-    echo "smoke: FAIL: $*" >&2
-    echo "--- daemon log ---" >&2
-    cat "$WORKDIR/tsperrd.log" >&2 || true
-    exit 1
-}
-
-go build -o "$WORKDIR/tsperrd" ./cmd/tsperrd
-"$WORKDIR/tsperrd" -listen "$ADDR" -model-cache-dir "$WORKDIR/cache" \
-    >"$WORKDIR/tsperrd.log" 2>&1 &
-PID=$!
-
-code=""
-for _ in $(seq 1 150); do
-    code=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/healthz" || true)
-    [ "$code" = 200 ] && break
-    sleep 0.2
-done
-[ "$code" = 200 ] || fail "daemon never became healthy (last /healthz: $code)"
+start_daemon daemon "$ADDR"
+PID=$DAEMON_PID
+wait_http "http://$ADDR/healthz" || fail "daemon never became healthy (last /healthz: $HTTP_CODE)"
 
 body=$(curl -sf -X POST "http://$ADDR/v1/estimate" \
     -d '{"benchmark":"typeset","scenarios":2}') || fail "sync estimate failed"
@@ -53,11 +29,8 @@ for p in "${pids[@]}"; do
     wait "$p" || fail "burst request failed"
 done
 
-comp=$(curl -s "http://$ADDR/metrics" | awk '/^tsperrd_computations_total/ {print $2}')
+comp=$(metric "$ADDR" tsperrd_computations_total)
 [ "$comp" = 2 ] || fail "expected 2 computations (typeset + dijkstra burst), got '$comp'"
 
-kill -TERM "$PID"
-wait "$PID" || fail "daemon exited non-zero after SIGTERM"
-grep -q "drained cleanly" "$WORKDIR/tsperrd.log" || fail "missing clean-drain log line"
-PID=""
+drain "$PID" daemon
 echo "smoke: OK (2 computations for 17 requests; clean drain)"

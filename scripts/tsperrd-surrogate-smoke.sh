@@ -5,51 +5,17 @@
 # the background training to land, verify shadow residuals accumulate from
 # forced-exact (mc_trials) requests, check that responses carry the tier
 # field, then SIGTERM and require a clean drain.
-set -euo pipefail
-cd "$(dirname "$0")/.."
+SMOKE_NAME=surrogate-smoke
+. "$(dirname "$0")/smoke-lib.sh"
 
 PORT="${TSPERRD_PORT:-18323}"
 ADDR="127.0.0.1:$PORT"
-WORKDIR="$(mktemp -d)"
+SMOKE_METRICS_ADDR="$ADDR"
 
-PID=""
-cleanup() {
-    [ -n "$PID" ] && kill "$PID" 2>/dev/null || true
-    rm -rf "$WORKDIR"
-}
-trap cleanup EXIT
-
-fail() {
-    echo "surrogate-smoke: FAIL: $*" >&2
-    echo "--- daemon log ---" >&2
-    cat "$WORKDIR/tsperrd.log" >&2 || true
-    echo "--- metrics ---" >&2
-    curl -s "http://$ADDR/metrics" >&2 || true
-    exit 1
-}
-
-metric() { # metric <fixed-string line prefix>
-    # Buffer the scrape: awk's early exit would otherwise kill curl's pipe
-    # and trip pipefail. Prefix is matched as a fixed string so labeled
-    # series ({reason="..."}) need no regex escaping.
-    local scrape
-    scrape=$(curl -s "http://$ADDR/metrics") || return 1
-    awk -v p="$1" 'index($0, p) == 1 {print $2; exit}' <<<"$scrape"
-}
-
-go build -o "$WORKDIR/tsperrd" ./cmd/tsperrd
-"$WORKDIR/tsperrd" -listen "$ADDR" -model-cache-dir "$WORKDIR/cache" \
-    -surrogate serve -surrogate-min-train 4 -surrogate-retrain 4 \
-    >"$WORKDIR/tsperrd.log" 2>&1 &
-PID=$!
-
-code=""
-for _ in $(seq 1 150); do
-    code=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/healthz" || true)
-    [ "$code" = 200 ] && break
-    sleep 0.2
-done
-[ "$code" = 200 ] || fail "daemon never became healthy (last /healthz: $code)"
+start_daemon daemon "$ADDR" \
+    -surrogate serve -surrogate-min-train 4 -surrogate-retrain 4
+PID=$DAEMON_PID
+wait_http "http://$ADDR/healthz" || fail "daemon never became healthy (last /healthz: $HTTP_CODE)"
 
 # Phase 1 — untrained gate honesty: with no model yet, every distinct request
 # must escalate to the exact tier (reason untrained) and be answered exactly,
@@ -60,21 +26,21 @@ for b in typeset dijkstra patricia stringsearch; do
     echo "$body" | grep -q '"tier": *"exact"' || fail "$b pre-model response not exact tier: $body"
 done
 
-esc=$(metric 'tsperrd_surrogate_escalations_total{reason="untrained"}')
+esc=$(metric "$ADDR" 'tsperrd_surrogate_escalations_total{reason="untrained"}')
 [ "$esc" = 4 ] || fail "expected 4 untrained escalations, got '$esc'"
-obs=$(metric 'tsperrd_surrogate_observations_total')
+obs=$(metric "$ADDR" 'tsperrd_surrogate_observations_total')
 [ "$obs" = 4 ] || fail "expected 4 observations, got '$obs'"
 
 # The 4th observation crosses -surrogate-min-train and triggers a background
 # training; wait for it to land.
 trainings=""
 for _ in $(seq 1 100); do
-    trainings=$(metric 'tsperrd_surrogate_trainings_total')
+    trainings=$(metric "$ADDR" 'tsperrd_surrogate_trainings_total')
     [ -n "$trainings" ] && [ "$trainings" -ge 1 ] && break
     sleep 0.2
 done
 [ -n "$trainings" ] && [ "$trainings" -ge 1 ] || fail "surrogate never trained (trainings='$trainings')"
-ver=$(metric 'tsperrd_surrogate_model_version')
+ver=$(metric "$ADDR" 'tsperrd_surrogate_model_version')
 [ -n "$ver" ] && [ "$ver" -ge 1 ] || fail "model version still '$ver' after training"
 
 # Phase 2 — shadow accuracy: mc_trials requests always run exact (Monte Carlo
@@ -85,26 +51,23 @@ for b in typeset dijkstra patricia; do
         -d "{\"benchmark\":\"$b\",\"scenarios\":2,\"mc_trials\":50}" >/dev/null \
         || fail "mc estimate $b failed"
 done
-resid=$(metric 'tsperrd_surrogate_residual_log10_count')
+resid=$(metric "$ADDR" 'tsperrd_surrogate_residual_log10_count')
 [ -n "$resid" ] && [ "$resid" -ge 3 ] || fail "expected >=3 shadow residuals, got '$resid'"
-obs=$(metric 'tsperrd_surrogate_observations_total')
+obs=$(metric "$ADDR" 'tsperrd_surrogate_observations_total')
 [ "$obs" = 7 ] || fail "expected 7 observations after mc phase, got '$obs'"
 
 # Phase 3 — serving plumbing: a novel request consults the trained gate; the
 # response must declare its tier either way (serve or honest escalation), and
 # the decision must show up in the hit/escalation counters.
-serving=$(metric 'tsperrd_surrogate_serving')
+serving=$(metric "$ADDR" 'tsperrd_surrogate_serving')
 [ "$serving" = 1 ] || fail "serving gauge = '$serving', want 1"
 body=$(curl -sf -X POST "http://$ADDR/v1/estimate" \
     -d '{"benchmark":"dijkstra","scenarios":4}') || fail "novel estimate failed"
 echo "$body" | grep -q '"tier": *"' || fail "novel response missing tier field: $body"
-hits=$(metric 'tsperrd_surrogate_hits_total')
-unc=$(metric 'tsperrd_surrogate_escalations_total{reason="uncertain"}')
+hits=$(metric "$ADDR" 'tsperrd_surrogate_hits_total')
+unc=$(metric "$ADDR" 'tsperrd_surrogate_escalations_total{reason="uncertain"}')
 total=$((hits + unc + esc))
 [ "$total" -ge 5 ] || fail "gate decisions unaccounted for (hits=$hits uncertain=$unc untrained=$esc)"
 
-kill -TERM "$PID"
-wait "$PID" || fail "daemon exited non-zero after SIGTERM"
-grep -q "drained cleanly" "$WORKDIR/tsperrd.log" || fail "missing clean-drain log line"
-PID=""
+drain "$PID" daemon
 echo "surrogate-smoke: OK (4 untrained escalations, $trainings training(s), $resid shadow residuals, tier field present; clean drain)"
